@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tunio_iosim::Simulator;
 use tunio_params::ParameterSpace;
-use tunio_tuner::{AllParams, EvalEngine, GaConfig, GaTuner, NoStop};
+use tunio_tuner::{AllParams, EvalEngine, GaConfig, NoStop};
 use tunio_workloads::{hacc, Variant, Workload};
 
 fn campaign(cfg: GaConfig) -> f64 {
@@ -19,8 +19,7 @@ fn campaign(cfg: GaConfig) -> f64 {
         ParameterSpace::tunio_default(),
         3,
     );
-    let mut tuner = GaTuner::new(cfg);
-    tuner.run(&engine, &mut NoStop, &mut AllParams).best_perf
+    tunio_bench::run_ga(&engine, cfg, &mut NoStop, &mut AllParams).best_perf
 }
 
 fn bench_campaign(c: &mut Criterion) {

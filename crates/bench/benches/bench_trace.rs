@@ -12,7 +12,7 @@ use std::hint::black_box;
 use tunio_iosim::Simulator;
 use tunio_params::ParameterSpace;
 use tunio_trace as trace;
-use tunio_tuner::{AllParams, EvalEngine, GaConfig, GaTuner, NoStop};
+use tunio_tuner::{AllParams, EvalEngine, GaConfig, NoStop};
 use tunio_workloads::{hacc, Variant, Workload};
 
 fn campaign() -> f64 {
@@ -22,12 +22,12 @@ fn campaign() -> f64 {
         ParameterSpace::tunio_default(),
         3,
     );
-    let mut tuner = GaTuner::new(GaConfig {
+    let cfg = GaConfig {
         max_iterations: 10,
         seed: 1,
         ..GaConfig::default()
-    });
-    tuner.run(&engine, &mut NoStop, &mut AllParams).best_perf
+    };
+    tunio_bench::run_ga(&engine, cfg, &mut NoStop, &mut AllParams).best_perf
 }
 
 fn bench_disabled_calls(c: &mut Criterion) {

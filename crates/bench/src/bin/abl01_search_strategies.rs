@@ -1,14 +1,19 @@
 //! Ablation — search strategies (§II-B background): the GA pipeline vs.
 //! random search vs. hill climbing, on the HACC I/O kernel, equal
-//! evaluation budgets.
+//! evaluation budgets (eight evaluations per iteration).
 
 use serde::Serialize;
 use tunio_iosim::Simulator;
 use tunio_params::ParameterSpace;
-use tunio_tuner::{AllParams, EvalEngine, GaConfig, GaTuner, HillClimb, NoStop, RandomSearch};
+use tunio_tuner::{
+    run_strategy, AllParams, EvalEngine, GaConfig, HillClimb, NoObserver, NoStop, RandomStrategy,
+};
 use tunio_workloads::{hacc, Variant, Workload};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
+/// Evaluations per iteration for the non-population searches, so their
+/// budgets match a default-size GA generation.
+const EVALS_PER_ITERATION: usize = 8;
 
 #[derive(Serialize)]
 struct Row {
@@ -57,12 +62,12 @@ fn main() {
     let ga: Vec<(u64, f64, f64)> = seeds
         .iter()
         .map(|&seed| {
-            let mut tuner = GaTuner::new(GaConfig {
+            let cfg = GaConfig {
                 max_iterations: ITERS,
                 seed,
                 ..GaConfig::default()
-            });
-            let t = tuner.run(&engine(seed), &mut NoStop, &mut AllParams);
+            };
+            let t = tunio_bench::run_ga(&engine(seed), cfg, &mut NoStop, &mut AllParams);
             (seed, t.best_perf / GIB, t.total_cost_min())
         })
         .collect();
@@ -71,8 +76,19 @@ fn main() {
     let rs: Vec<(u64, f64, f64)> = seeds
         .iter()
         .map(|&seed| {
-            let mut search = RandomSearch::new(ITERS, seed);
-            let t = search.run(&engine(seed), &mut NoStop, &mut AllParams);
+            let engine = engine(seed);
+            let evals = ITERS as usize * EVALS_PER_ITERATION;
+            let strategy = Box::new(RandomStrategy::new(engine.space.clone(), evals, seed));
+            let t = run_strategy(
+                &engine,
+                strategy,
+                &mut NoStop,
+                &mut AllParams,
+                EVALS_PER_ITERATION,
+                1,
+                &mut NoObserver,
+            )
+            .trace;
             (seed, t.best_perf / GIB, t.total_cost_min())
         })
         .collect();

@@ -10,7 +10,7 @@ use tunio::smart_config::offline_impact_analysis;
 use tunio_iosim::Simulator;
 use tunio_params::ParameterSpace;
 use tunio_tuner::subset::FixedSubset;
-use tunio_tuner::{EvalEngine, GaConfig, GaTuner, NoStop};
+use tunio_tuner::{EvalEngine, GaConfig, NoStop};
 use tunio_workloads::{bdcats, Variant, Workload};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
@@ -44,13 +44,14 @@ fn main() {
             space.clone(),
             3,
         );
-        let mut tuner = GaTuner::new(GaConfig {
+        let cfg = GaConfig {
             max_iterations: 25,
             seed: 1111,
             ..GaConfig::default()
-        });
-        let trace = tuner.run(
+        };
+        let trace = tunio_bench::run_ga(
             &engine,
+            cfg,
             &mut NoStop,
             &mut FixedSubset {
                 subset: analysis.top(k),

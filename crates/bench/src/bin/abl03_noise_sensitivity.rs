@@ -7,7 +7,7 @@ use tunio::early_stop::EarlyStopAgent;
 use tunio_iosim::noise::NoiseModel;
 use tunio_iosim::Simulator;
 use tunio_params::ParameterSpace;
-use tunio_tuner::{AllParams, EvalEngine, GaConfig, GaTuner, HeuristicStop, Stopper};
+use tunio_tuner::{AllParams, EvalEngine, GaConfig, HeuristicStop, Stopper};
 use tunio_workloads::{hacc, Variant, Workload};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
@@ -29,12 +29,12 @@ fn run(amplitude: f64, stopper: &mut dyn Stopper) -> (u32, f64) {
         ParameterSpace::tunio_default(),
         3,
     );
-    let mut tuner = GaTuner::new(GaConfig {
+    let cfg = GaConfig {
         max_iterations: 40,
         seed: 7,
         ..GaConfig::default()
-    });
-    let trace = tuner.run(&engine, stopper, &mut AllParams);
+    };
+    let trace = tunio_bench::run_ga(&engine, cfg, stopper, &mut AllParams);
     (trace.iterations(), trace.best_perf / GIB)
 }
 

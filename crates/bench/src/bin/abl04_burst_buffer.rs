@@ -10,7 +10,7 @@
 use serde::Serialize;
 use tunio_iosim::{BurstBufferSpec, Simulator};
 use tunio_params::ParameterSpace;
-use tunio_tuner::{AllParams, EvalEngine, GaConfig, GaTuner, NoStop};
+use tunio_tuner::{AllParams, EvalEngine, GaConfig, NoStop};
 use tunio_workloads::{hacc, Variant, Workload};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
@@ -36,12 +36,12 @@ fn tune(sim: Simulator) -> Row {
         ParameterSpace::tunio_default(),
         3,
     );
-    let mut tuner = GaTuner::new(GaConfig {
+    let cfg = GaConfig {
         max_iterations: 25,
         seed: 5,
         ..GaConfig::default()
-    });
-    let trace = tuner.run(&engine, &mut NoStop, &mut AllParams);
+    };
+    let trace = tunio_bench::run_ga(&engine, cfg, &mut NoStop, &mut AllParams);
     Row {
         tier: name.into(),
         default_gibs: trace.default_perf / GIB,

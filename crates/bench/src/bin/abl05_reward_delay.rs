@@ -8,7 +8,7 @@ use serde::Serialize;
 use tunio::early_stop::EarlyStopAgent;
 use tunio_iosim::Simulator;
 use tunio_params::ParameterSpace;
-use tunio_tuner::{AllParams, EvalEngine, GaConfig, GaTuner};
+use tunio_tuner::{AllParams, EvalEngine, GaConfig};
 use tunio_workloads::{hacc, Variant, Workload};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
@@ -38,12 +38,12 @@ fn main() {
             ParameterSpace::tunio_default(),
             3,
         );
-        let mut tuner = GaTuner::new(GaConfig {
+        let cfg = GaConfig {
             max_iterations: 40,
             seed: 7,
             ..GaConfig::default()
-        });
-        let trace = tuner.run(&engine, &mut agent, &mut AllParams);
+        };
+        let trace = tunio_bench::run_ga(&engine, cfg, &mut agent, &mut AllParams);
         let roti = tunio::roti::final_roti(&trace);
         println!(
             "{:>6} {:>10} {:>12.3} {:>10.1} {:>14.2}",

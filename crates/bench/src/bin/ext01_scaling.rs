@@ -6,7 +6,7 @@ use serde::Serialize;
 use tunio_iosim::noise::NoiseModel;
 use tunio_iosim::{ClusterSpec, LustreSpec, Simulator};
 use tunio_params::ParameterSpace;
-use tunio_tuner::{AllParams, EvalEngine, GaConfig, GaTuner, NoStop};
+use tunio_tuner::{AllParams, EvalEngine, GaConfig, NoStop};
 use tunio_workloads::{hacc, Variant, Workload};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
@@ -43,12 +43,12 @@ fn main() {
             ParameterSpace::tunio_default(),
             3,
         );
-        let mut tuner = GaTuner::new(GaConfig {
+        let cfg = GaConfig {
             max_iterations: 20,
             seed: 42,
             ..GaConfig::default()
-        });
-        let trace = tuner.run(&engine, &mut NoStop, &mut AllParams);
+        };
+        let trace = tunio_bench::run_ga(&engine, cfg, &mut NoStop, &mut AllParams);
         let row = Row {
             nodes,
             procs: nodes * 32,

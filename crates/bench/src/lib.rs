@@ -13,7 +13,10 @@ use serde::Serialize;
 use std::path::PathBuf;
 use tunio::pipeline::{run_campaign, CampaignOutcome, CampaignSpec};
 use tunio::roti::RotiPoint;
-use tunio_tuner::TuningTrace;
+use tunio_tuner::{
+    run_strategy, EvalEngine, GaConfig, GaStrategy, NoObserver, Stopper, SubsetProvider,
+    TuningTrace,
+};
 
 /// Gibibytes, for bandwidth reporting.
 pub const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
@@ -93,6 +96,30 @@ impl LabeledTrace {
             default_gibs: trace.default_perf / GIB,
         }
     }
+}
+
+/// Run the GA on `engine` through the strategy scheduler, one record
+/// window per generation, with one evaluator slot per host core (up to
+/// 8). The trace does not depend on the slot count.
+pub fn run_ga(
+    engine: &EvalEngine,
+    cfg: GaConfig,
+    stopper: &mut dyn Stopper,
+    subsets: &mut dyn SubsetProvider,
+) -> TuningTrace {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+    let strategy = Box::new(GaStrategy::new(cfg, engine.space.clone()));
+    let batch = cfg.population.max(1);
+    run_strategy(
+        engine,
+        strategy,
+        stopper,
+        subsets,
+        batch,
+        threads,
+        &mut NoObserver,
+    )
+    .trace
 }
 
 /// Run a campaign and wrap it with a label.

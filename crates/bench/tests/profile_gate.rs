@@ -16,6 +16,7 @@
 //! and commit the updated baseline together with the change.
 
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
 use tunio::pipeline::{run_campaign, CampaignOutcome, CampaignSpec, PipelineKind};
 use tunio_iosim::{compare_profiles, render_diff, Layer, Profile};
 use tunio_trace::report;
@@ -26,6 +27,21 @@ const TOLERANCE: f64 = 0.15;
 
 fn baseline_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/profile_smoke.json")
+}
+
+/// The tracer's sink is process-global: while one test has a sink
+/// installed, a campaign running in another test thread would write its
+/// records into it. Every test takes this lock around its campaigns.
+static TRACER: Mutex<()> = Mutex::new(());
+
+fn tracer_turn() -> MutexGuard<'static, ()> {
+    TRACER.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Run the smoke campaign while holding the tracer lock.
+fn smoke_campaign() -> CampaignOutcome {
+    let _turn = tracer_turn();
+    run_campaign(&smoke_spec()).expect("fault-free campaign")
 }
 
 /// The CI smoke campaign (same spec as the `trace_campaign` binary).
@@ -43,7 +59,7 @@ fn smoke_spec() -> CampaignSpec {
 
 #[test]
 fn smoke_profile_passes_regression_gate() {
-    let outcome = run_campaign(&smoke_spec()).expect("fault-free campaign");
+    let outcome = smoke_campaign();
     let profile = &outcome.profile;
 
     // Acceptance: the attribution partition must reconstruct the
@@ -87,7 +103,7 @@ fn gate_flags_injected_two_x_slowdown() {
     // Acceptance criterion: a synthetic 2× slowdown of a single layer
     // must trip the gate. Inject it by re-charging one layer's own self
     // time on top of itself.
-    let outcome = run_campaign(&smoke_spec()).expect("fault-free campaign");
+    let outcome = smoke_campaign();
     let baseline = &outcome.profile;
     let mut slowed = baseline.clone();
     let lustre = baseline.get(Layer::LustreData);
@@ -114,11 +130,13 @@ fn gate_flags_injected_two_x_slowdown() {
 fn trace_carries_layer_events_and_report_renders_attribution() {
     // The trace-side view of the tentpole: `profile.layer` events per
     // generation, folded by tunio-report into a table and tree. Memory
-    // sink installation is process-global, so this is the only test in
-    // this binary that touches the tracer.
+    // sink installation is process-global, so the sink stays installed
+    // only while this test holds the tracer lock.
+    let turn = tracer_turn();
     let sink = tunio_trace::install_memory_sink();
     let outcome: CampaignOutcome = run_campaign(&smoke_spec()).expect("fault-free campaign");
     tunio_trace::clear_sink();
+    drop(turn);
     let records = sink.take();
 
     let layer_events: Vec<_> = records

@@ -29,9 +29,9 @@
 //! `--noise-profile` attaches the seeded heteroscedastic interference
 //! model to the simulator (noisy-neighbor OST episodes plus time-varying
 //! network contention; `--noise-seed` defaults to `--seed`). `--racing`
-//! switches strategy campaigns (`--strategy ...`) to noise-robust racing
-//! evaluation: configurations whose confidence interval still overlaps
-//! the incumbent get extra repeats, clear losers are discarded early.
+//! switches the campaign to noise-robust racing evaluation:
+//! configurations whose confidence interval still overlaps the
+//! incumbent get extra repeats, clear losers are discarded early.
 //! Like `--fault-rate`, resumed campaigns must re-pass the same noise
 //! and racing flags.
 //!
@@ -39,22 +39,22 @@
 //! interpretation, see `tunio-infer`) over a built-in sample or a
 //! C-minus source file and warm-starts the search from the result: the
 //! smart subset agent ranks parameters by the inferred features instead
-//! of the offline sweep, and `--strategy` backends get feature-guided
-//! seed configurations planted in their starting state. `--bind`
+//! of the offline sweep, and the search backend gets feature-guided
+//! seed configurations planted in its starting state. `--bind`
 //! overrides the inferred entry's parameter bindings.
 //!
-//! `--strategy` routes the campaign through the asynchronous search
-//! scheduler instead of the classic generation-synchronous GA loop:
-//! `ga` (the same GA, ported), `random`, `lhs` (Latin hypercube) or
-//! `bo` (surrogate-driven Bayesian optimization). `--threads` sets the
-//! parallel evaluator slot count (default: host cores, capped at 8);
-//! the outcome is bitwise identical for every value.
+//! Every campaign runs through the asynchronous search scheduler.
+//! `--strategy` picks its backend: `ga` (the paper's GA, the default),
+//! `random`, `lhs` (Latin hypercube) or `bo` (surrogate-driven Bayesian
+//! optimization). `--threads` sets the parallel evaluator slot count
+//! (default: host cores, capped at 8); the outcome is bitwise identical
+//! for every value.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use tunio::pipeline::{
-    outcome_json, run_campaign_opts, run_strategy_campaign_opts, CampaignOptions, CampaignSpec,
-    PipelineKind, StrategyKind,
+    outcome_json, run_strategy_campaign_opts, CampaignOptions, CampaignSpec, PipelineKind,
+    StrategyKind,
 };
 use tunio_iosim::{FaultPlan, NoiseProfile};
 use tunio_params::ParameterSpace;
@@ -65,7 +65,7 @@ const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 struct Args {
     app: String,
     kind: PipelineKind,
-    strategy: Option<StrategyKind>,
+    strategy: StrategyKind,
     threads: Option<usize>,
     variant: Variant,
     iterations: u32,
@@ -110,7 +110,7 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         app: String::new(),
         kind: PipelineKind::TunIo,
-        strategy: None,
+        strategy: StrategyKind::Ga,
         threads: None,
         variant: Variant::Kernel,
         iterations: 30,
@@ -155,10 +155,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--strategy" => {
                 let v = value(&argv, &mut i, "--strategy")?;
-                args.strategy =
-                    Some(StrategyKind::parse(&v).ok_or_else(|| {
-                        format!("unknown strategy `{v}` (want ga|random|lhs|bo)")
-                    })?);
+                args.strategy = StrategyKind::parse(&v)
+                    .ok_or_else(|| format!("unknown strategy `{v}` (want ga|random|lhs|bo)"))?;
             }
             "--threads" => {
                 let n: usize = value(&argv, &mut i, "--threads")?
@@ -350,14 +348,11 @@ fn main() -> ExitCode {
         large_scale: args.large_scale,
     };
     if !args.quiet {
-        let search = match args.strategy {
-            Some(s) => format!("{} [strategy={}]", spec.kind.label(), s.label()),
-            None => spec.kind.label().to_string(),
-        };
         eprintln!(
-            "tuning {} with {} ({} iterations max, population {}, {})…",
+            "tuning {} with {} [strategy={}] ({} iterations max, population {}, {})…",
             args.app,
-            search,
+            spec.kind.label(),
+            args.strategy.label(),
             spec.max_iterations,
             spec.population,
             if spec.large_scale {
@@ -404,10 +399,6 @@ fn main() -> ExitCode {
         noise_seed: args.noise_seed,
         racing: args.racing.then(tunio_tuner::RacingConfig::default),
     };
-    if args.racing && args.strategy.is_none() {
-        eprintln!("error: --racing needs --strategy (the classic GA loop fixed-repeat averages)");
-        return usage();
-    }
     if args.resume && args.checkpoint.is_none() {
         eprintln!("error: --resume needs --checkpoint");
         return usage();
@@ -420,11 +411,7 @@ fn main() -> ExitCode {
         }
     }
 
-    let result = match args.strategy {
-        Some(strategy) => run_strategy_campaign_opts(&spec, strategy, &opts),
-        None => run_campaign_opts(&spec, &opts),
-    };
-    let outcome = match result {
+    let outcome = match run_strategy_campaign_opts(&spec, args.strategy, &opts) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("campaign failed: {e}");

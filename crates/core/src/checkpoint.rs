@@ -4,15 +4,23 @@
 //! ## Format
 //!
 //! Line 1 is a header object binding the checkpoint to its campaign spec
-//! (app, variant, pipeline kind, budget, population size, seed, scale).
-//! Every following line is one completed generation carrying:
+//! (format version, app, variant, pipeline kind with its search
+//! strategy, budget, population size, seed, scale). Every following line
+//! is one completed generation (scheduler window) carrying:
 //!
 //! * the generation number and its [`IterationRecord`],
-//! * the GA RNG state after that generation's breeding,
+//! * the strategy's RNG state and its serialized state after the window,
 //! * the evaluated population and the best genome so far,
 //! * every memo-cache entry first *charged* during the generation
 //!   (report, perf, per-layer profile) — the [`tunio_tuner::EvalEngine`]
-//!   journal.
+//!   journal, attributed in commit order; the first generation leads
+//!   with the incumbent-default evaluation.
+//!
+//! Version 2 is the format every campaign writes since all of them run
+//! through the strategy scheduler. A version-1 log (a bare pipeline
+//! label, no strategy snapshots) cannot be replayed by it: [`load`]
+//! refuses it, resuming one fails with [`CheckpointError::SpecMismatch`]
+//! on `version`, and a directory scan quarantines it.
 //!
 //! Each generation is appended as one `\n`-terminated line and flushed
 //! before the campaign proceeds, so the log never claims work that was
@@ -27,11 +35,11 @@
 //! "loaded". Instead, a resumed campaign re-runs from generation 1 with
 //! the WAL's cache entries preloaded into the engine
 //! ([`tunio_tuner::EvalEngine::preload`]). Replayed generations are then
-//! served from the cache with full miss bookkeeping in the original
-//! serial order — identical costs, counters and profile accumulator, and
-//! **no simulator time** — while the per-generation RNG states stored
-//! here let the resumed run prove it retraced the original trajectory
-//! before extending the log. Evaluations that *failed* in the original
+//! served from the cache with full miss bookkeeping — identical costs,
+//! counters and profile accumulator, and **no simulator time** — while
+//! the per-generation RNG and strategy states stored here let the
+//! resumed run prove it retraced the original trajectory before
+//! extending the log. Evaluations that *failed* in the original
 //! run were never journaled; the resumed run re-draws their faults
 //! deterministically and fails them identically.
 
@@ -44,7 +52,7 @@ use tunio_iosim::Profile;
 use tunio_tuner::{CacheEntry, IterationRecord};
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u64 = 1;
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// Identity of the campaign a checkpoint belongs to. A resume refuses to
 /// run against a checkpoint whose header disagrees with the requested
@@ -75,7 +83,7 @@ pub struct CheckpointHeader {
 pub struct CheckpointGeneration {
     /// Generation number (1-based, contiguous from 1).
     pub iteration: u32,
-    /// GA RNG state after this generation's breeding.
+    /// Search-strategy RNG state after this generation.
     pub rng_state: [u64; 4],
     /// The generation's trace record.
     pub record: IterationRecord,
@@ -87,11 +95,8 @@ pub struct CheckpointGeneration {
     pub stopped: bool,
     /// Memo-cache entries first charged during this generation.
     pub entries: Vec<CacheEntry>,
-    /// Serialized search-strategy state after this generation, for
-    /// campaigns run through the pluggable-strategy scheduler. `None`
-    /// for classic GA campaigns — the field is omitted from their WAL
-    /// lines, keeping the on-disk format byte-compatible.
-    pub strategy_state: Option<String>,
+    /// Serialized search-strategy state after this generation.
+    pub strategy_state: String,
 }
 
 /// Why a checkpoint could not be used.
@@ -99,7 +104,7 @@ pub struct CheckpointGeneration {
 pub enum CheckpointError {
     /// Filesystem-level failure.
     Io(io::Error),
-    /// The file is not a checkpoint (bad header / wrong version).
+    /// The file is not a checkpoint (unreadable or malformed header).
     BadHeader(String),
     /// The stored header disagrees with the campaign being resumed.
     SpecMismatch {
@@ -328,7 +333,7 @@ fn entry_value(e: &CacheEntry) -> Result<Value, CheckpointError> {
     // Racing moments travel with the entry: (sample count, Welford M2),
     // with the mean already stored as `perf`. Fixed-repeat entries omit
     // both fields, keeping their WAL lines byte-identical to before
-    // racing existed (same pattern as `strategy_state`).
+    // racing existed.
     if e.samples > 0 {
         fields.push(("samples".into(), Value::UInt(e.samples as u64)));
         fields.push(("m2".into(), Value::Float(e.m2)));
@@ -371,7 +376,7 @@ impl CheckpointGeneration {
             .iter()
             .map(entry_value)
             .collect::<Result<Vec<Value>, _>>()?;
-        let mut fields = vec![
+        Ok(Value::Object(vec![
             ("iteration".into(), Value::UInt(self.iteration as u64)),
             ("rng_state".into(), uints(self.rng_state)),
             ("record".into(), record_value(&self.record)),
@@ -382,11 +387,11 @@ impl CheckpointGeneration {
             ("best_genes".into(), genes_value(&self.best_genes)),
             ("stopped".into(), Value::Bool(self.stopped)),
             ("entries".into(), Value::Array(entries)),
-        ];
-        if let Some(state) = &self.strategy_state {
-            fields.push(("strategy_state".into(), Value::String(state.clone())));
-        }
-        Ok(Value::Object(fields))
+            (
+                "strategy_state".into(),
+                Value::String(self.strategy_state.clone()),
+            ),
+        ]))
     }
 
     fn from_value(v: &Value) -> Result<Self, CheckpointError> {
@@ -416,16 +421,7 @@ impl CheckpointGeneration {
                 .iter()
                 .map(entry_from_value)
                 .collect::<Result<_, _>>()?,
-            strategy_state: match v.get("strategy_state") {
-                None => None,
-                Some(s) => Some(
-                    s.as_str()
-                        .ok_or_else(|| {
-                            CheckpointError::BadHeader("`strategy_state` is not a string".into())
-                        })?
-                        .to_string(),
-                ),
-            },
+            strategy_state: get_str(v, "strategy_state", "generation")?.to_string(),
         })
     }
 }
@@ -490,21 +486,36 @@ impl CheckpointWriter {
     }
 }
 
-/// Load a checkpoint: the header plus every intact generation line.
-///
-/// The last line is allowed to be torn (the process died mid-write); it
-/// and anything after a gap in the iteration sequence are dropped, never
-/// trusted. An unreadable *header* is an error — that file is not a
-/// checkpoint.
-pub fn load(path: &Path) -> Result<(CheckpointHeader, Vec<CheckpointGeneration>), CheckpointError> {
-    let reader = BufReader::new(File::open(path)?);
-    let mut lines = reader.lines();
+/// Parse the header line of a checkpoint, whatever its format version.
+fn parse_header(
+    lines: &mut impl Iterator<Item = io::Result<String>>,
+) -> Result<CheckpointHeader, CheckpointError> {
     let header_line = lines
         .next()
         .ok_or_else(|| CheckpointError::BadHeader("empty file".into()))??;
     let header_value: Value = serde_json::from_str(&header_line)
         .map_err(|e| CheckpointError::BadHeader(format!("unparseable header: {e:?}")))?;
-    let header = CheckpointHeader::from_value(&header_value)?;
+    CheckpointHeader::from_value(&header_value)
+}
+
+/// Read only a checkpoint's header. Unlike [`load`] it accepts any
+/// format version, so a resume can report a foreign version against
+/// the campaign it expected ([`CheckpointHeader::ensure_matches`] names
+/// the `version` field).
+pub(crate) fn read_header(path: &Path) -> Result<CheckpointHeader, CheckpointError> {
+    parse_header(&mut BufReader::new(File::open(path)?).lines())
+}
+
+/// Load a checkpoint: the header plus every intact generation line.
+///
+/// The last line is allowed to be torn (the process died mid-write); it
+/// and anything after a gap in the iteration sequence are dropped, never
+/// trusted. An unreadable *header* is an error — that file is not a
+/// checkpoint, and so is one from another format version.
+pub fn load(path: &Path) -> Result<(CheckpointHeader, Vec<CheckpointGeneration>), CheckpointError> {
+    let reader = BufReader::new(File::open(path)?);
+    let mut lines = reader.lines();
+    let header = parse_header(&mut lines)?;
     if header.version != CHECKPOINT_VERSION {
         return Err(CheckpointError::BadHeader(format!(
             "version {} (this build reads {})",
@@ -616,7 +627,7 @@ mod tests {
             version: CHECKPOINT_VERSION,
             app: "hacc".into(),
             variant: "Kernel".into(),
-            kind: "TunIO".into(),
+            kind: "TunIO [strategy=ga]".into(),
             max_iterations: 10,
             population: 6,
             seed: 42,
@@ -657,11 +668,7 @@ mod tests {
                 samples: if iteration % 2 == 1 { 5 } else { 0 },
                 m2: if iteration % 2 == 1 { 3.25e16 } else { 0.0 },
             }],
-            strategy_state: if iteration == 2 {
-                Some("{\"rng\":[1,2,3,4]}".into())
-            } else {
-                None
-            },
+            strategy_state: format!("{{\"rng\":[1,2,3,{iteration}]}}"),
         }
     }
 
@@ -699,7 +706,7 @@ mod tests {
             );
             assert_eq!(
                 g.strategy_state, want.strategy_state,
-                "strategy state must round-trip (and stay absent when None)"
+                "strategy state must round-trip"
             );
         }
         std::fs::remove_file(&path).ok();
@@ -836,6 +843,19 @@ mod tests {
         let path = dir.join("not_a_checkpoint.txt");
         std::fs::write(&path, "hello world\n").unwrap();
         assert!(matches!(load(&path), Err(CheckpointError::BadHeader(_))));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn foreign_version_fails_load_but_its_header_still_reads() {
+        let dir = std::env::temp_dir().join("tunio-ckpt-version");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v1.jsonl");
+        let mut v1 = header();
+        v1.version = 1;
+        drop(CheckpointWriter::create(&path, &v1).unwrap());
+        assert!(matches!(load(&path), Err(CheckpointError::BadHeader(_))));
+        assert_eq!(read_header(&path).unwrap().version, 1);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -16,13 +16,13 @@ use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use tunio_iosim::{FaultPlan, InterferenceModel, NoiseProfile, Simulator};
+use tunio_iosim::{ClusterSpec, FaultPlan, InterferenceModel, NoiseProfile, Simulator};
 use tunio_params::ParameterSpace;
 use tunio_trace as trace;
 use tunio_tuner::stoppers::NoStop;
 use tunio_tuner::{
     AllParams, BoConfig, BoStrategy, CacheEntry, CampaignObserver, EvalCounters, EvalEngine,
-    FailurePolicy, GaConfig, GaStrategy, GaTuner, GenerationSnapshot, HeuristicStop, LhsStrategy,
+    FailurePolicy, GaConfig, GaStrategy, GenerationSnapshot, HeuristicStop, LhsStrategy,
     NoObserver, RacingConfig, RacingCounters, RandomStrategy, ResilienceCounters, SchedulerStats,
     SearchStrategy, Stopper, SubsetProvider, TuningTrace,
 };
@@ -124,9 +124,8 @@ impl From<CheckpointError> for CampaignError {
     }
 }
 
-/// The all-failed check shared by both campaign drivers: a campaign in
-/// which not a single evaluation succeeded has nothing trustworthy to
-/// report.
+/// The all-failed check: a campaign in which not a single evaluation
+/// succeeded has nothing trustworthy to report.
 fn ensure_viable(engine: &EvalEngine) -> Result<(), CampaignError> {
     let resilience = engine.resilience();
     if engine.evaluations() == 0 && resilience.failed_evaluations > 0 {
@@ -165,15 +164,16 @@ pub struct CampaignOutcome {
     /// The tuning trace (per-iteration perf and cost).
     pub trace: TuningTrace,
     /// Per-layer cost attribution pooled over every charged evaluation
-    /// (see [`tunio_iosim::Profile`]).
+    /// (see [`tunio_iosim::Profile`]), summed in configuration-key order
+    /// so it is bitwise identical for every thread count.
     pub profile: tunio_iosim::Profile,
     /// What the failure machinery did: faults injected, retries,
     /// exhausted evaluations, quarantined keys, penalties served. All
     /// zero for a fault-free campaign.
     pub resilience: ResilienceCounters,
-    /// Async-scheduler counters (proposals, aliases, barrier stalls) for
-    /// campaigns run through [`run_strategy_campaign_opts`]; `None` for
-    /// the classic `GaTuner` loop.
+    /// Async-scheduler counters (proposals, aliases, barrier stalls).
+    /// Every campaign runs through the scheduler, so this is always
+    /// `Some`.
     pub scheduler: Option<SchedulerStats>,
     /// Racing-evaluation counters (samples, settles, top-ups, early
     /// discards). All zero unless [`CampaignOptions::racing`] was set.
@@ -213,10 +213,9 @@ pub struct CampaignOptions {
     /// Exit the process (status 0) once this generation's checkpoint
     /// line is durable — the kill switch for crash/resume testing.
     pub abort_after: Option<u32>,
-    /// Parallel evaluator slots for strategy campaigns (`None` = one per
-    /// host core, capped at 8). The trace is bitwise identical for every
-    /// value; only wall-clock time changes. Ignored by the classic
-    /// `GaTuner` path, which parallelizes inside `evaluate_batch`.
+    /// Parallel evaluator slots (`None` = one per host core, capped at
+    /// 8). The trace is bitwise identical for every value; only
+    /// wall-clock time changes.
     pub threads: Option<usize>,
     /// Statically inferred workload features to warm-start the search
     /// from (see `tunio_discovery::infer`). When set, the smart subset
@@ -244,9 +243,8 @@ pub struct CampaignOptions {
     /// Interference seed; defaults to the campaign seed when a profile
     /// is set.
     pub noise_seed: Option<u64>,
-    /// Noise-robust racing evaluation for strategy campaigns: adaptive
-    /// repeat-sampling against the commit-frontier incumbent instead of
-    /// fixed-repeat averaging. Ignored by the classic `GaTuner` path.
+    /// Noise-robust racing evaluation: adaptive repeat-sampling against
+    /// the commit-frontier incumbent instead of fixed-repeat averaging.
     /// Racing state (per-key sample counts + moments) persists in the
     /// WAL, so kill/resume stays bitwise — but like the noise flags, a
     /// resumed campaign must pass the same racing policy.
@@ -266,126 +264,26 @@ fn apply_noise(sim: Simulator, spec: &CampaignSpec, opts: &CampaignOptions) -> S
     }
 }
 
-/// Run one campaign with default options (fault-free, no checkpoint).
+/// Run one campaign with default options (fault-free, no checkpoint) on
+/// the paper's search backend, the GA.
 ///
 /// Even this path is fallible: a campaign is a unit of work that can
 /// fail on its own (fault injection leaving no viable evaluation, a
 /// checkpoint that cannot be written) without that being fatal to the
 /// process hosting it.
 pub fn run_campaign(spec: &CampaignSpec) -> Result<CampaignOutcome, CampaignError> {
-    run_campaign_opts(spec, &CampaignOptions::default())
+    run_strategy_campaign_opts(spec, StrategyKind::Ga, &CampaignOptions::default())
 }
 
-/// Run one campaign with explicit robustness options.
-pub fn run_campaign_opts(
-    spec: &CampaignSpec,
-    opts: &CampaignOptions,
-) -> Result<CampaignOutcome, CampaignError> {
-    let space = ParameterSpace::tunio_default();
-    let mut sim = if spec.large_scale {
-        Simulator::cori_500node(spec.seed)
-    } else {
-        Simulator::cori_4node(spec.seed)
-    };
-    if let Some(plan) = opts.fault_plan {
-        sim = sim.with_fault_plan(plan);
-    }
-    sim = apply_noise(sim, spec, opts);
-    let cluster = sim.cluster;
-    let workload = Workload::new(spec.app.clone(), spec.variant);
-    let mut engine = EvalEngine::new(sim, workload, space.clone(), 3);
-    if let Some(policy) = opts.policy {
-        engine = engine.with_policy(policy);
-    }
-    let mut tuner = GaTuner::new(GaConfig {
-        population: spec.population,
-        max_iterations: spec.max_iterations,
-        seed: spec.seed,
-        ..GaConfig::default()
-    });
-
-    // Open the campaign span before the agents are built: pretraining
-    // (SmartConfigAgent, EarlyStopAgent) runs real simulations, and those
-    // spans must join the campaign's trace rather than each minting a
-    // root of their own.
-    let span = campaign_span(spec);
-
-    let needs_smart = matches!(
-        spec.kind,
-        PipelineKind::TunIo | PipelineKind::ImpactFirstOnly
-    );
-    let needs_rl_stop = matches!(spec.kind, PipelineKind::TunIo | PipelineKind::RlStopOnly);
-
-    let mut smart = if needs_smart {
-        Some(match &opts.warm_start {
-            Some(features) => SmartConfigAgent::from_features(features, &space, cluster, spec.seed),
-            None => SmartConfigAgent::pretrained(&space, cluster, spec.seed),
-        })
-    } else {
-        None
-    };
-    let mut all_params = AllParams;
-
-    let mut stopper: Box<dyn Stopper> = if needs_rl_stop {
-        let mut agent = EarlyStopAgent::pretrained(spec.max_iterations, spec.seed);
-        agent.begin_campaign();
-        Box::new(agent)
-    } else {
-        match spec.kind {
-            PipelineKind::HsTunerHeuristic => Box::new(HeuristicStop::paper_default()),
-            _ => Box::new(NoStop),
-        }
-    };
-
-    let subsets: &mut dyn SubsetProvider = match &mut smart {
-        Some(agent) => agent,
-        None => &mut all_params,
-    };
-
-    let mut checkpointer = match &opts.checkpoint {
-        Some(path) => Some(CheckpointObserver::open(
-            path,
-            opts.resume,
-            &spec_header(spec),
-            &engine,
-            opts.abort_after,
-        )?),
-        None => None,
-    };
-    if !opts.preload.is_empty() {
-        engine.preload(opts.preload.clone());
-    }
-
-    let trace = match checkpointer.as_mut() {
-        Some(obs) => tuner.run_with_observer(&engine, stopper.as_mut(), subsets, obs),
-        None => tuner.run(&engine, stopper.as_mut(), subsets),
-    };
-    if let Some(obs) = checkpointer {
-        if let Some(e) = obs.error {
-            return Err(e.into());
-        }
-    }
-    ensure_viable(&engine)?;
-    let wall_breakdown = finish_campaign(span, spec, &engine, &trace);
-    Ok(CampaignOutcome {
-        kind: spec.kind,
-        trace,
-        profile: engine.profile_snapshot(),
-        resilience: engine.resilience(),
-        scheduler: None,
-        racing: RacingCounters::default(),
-        counters: engine.counters(),
-        wall_breakdown,
-    })
-}
-
-/// The checkpoint header a spec binds to.
-fn spec_header(spec: &CampaignSpec) -> CheckpointHeader {
+/// The checkpoint header a campaign binds to: the pipeline label is
+/// extended with the search backend, so a WAL written by one strategy
+/// can never silently resume under another.
+fn spec_header(spec: &CampaignSpec, strategy: StrategyKind) -> CheckpointHeader {
     CheckpointHeader {
         version: CHECKPOINT_VERSION,
         app: spec.app.name.clone(),
         variant: format!("{:?}", spec.variant),
-        kind: spec.kind.label().to_string(),
+        kind: format!("{} [strategy={}]", spec.kind.label(), strategy.label()),
         max_iterations: spec.max_iterations,
         population: spec.population,
         seed: spec.seed,
@@ -410,15 +308,13 @@ fn variant_from_str(s: &str) -> Option<Variant> {
 }
 
 /// Reconstruct the campaign a WAL header describes — the inverse of
-/// [`spec_header`] / [`strategy_header`]. This is what lets a restarted
-/// daemon resume every in-flight campaign from nothing but its WAL
-/// directory. Returns the spec plus the strategy backend (`None` = the
-/// classic `GaTuner` loop). Errs with a human-readable reason when this
-/// build cannot host the campaign (unknown app, variant, pipeline, or
-/// strategy) — callers quarantine such WALs instead of refusing to boot.
-pub fn spec_from_header(
-    header: &CheckpointHeader,
-) -> Result<(CampaignSpec, Option<StrategyKind>), String> {
+/// [`spec_header`]. This is what lets a restarted daemon resume every
+/// in-flight campaign from nothing but its WAL directory. Returns the
+/// spec plus its search backend. Errs with a human-readable reason when
+/// this build cannot host the campaign (another checkpoint version, or
+/// an unknown app, variant, pipeline, or strategy) — callers quarantine
+/// such WALs instead of refusing to boot.
+pub fn spec_from_header(header: &CheckpointHeader) -> Result<(CampaignSpec, StrategyKind), String> {
     if header.version != CHECKPOINT_VERSION {
         return Err(format!(
             "checkpoint version {} (this build writes {})",
@@ -431,17 +327,13 @@ pub fn spec_from_header(
         .ok_or_else(|| format!("unknown application `{}`", header.app))?;
     let variant = variant_from_str(&header.variant)
         .ok_or_else(|| format!("unknown variant `{}`", header.variant))?;
-    let (kind_label, strategy) = match header.kind.split_once(" [strategy=") {
-        Some((label, rest)) => {
-            let s = rest
-                .strip_suffix(']')
-                .ok_or_else(|| format!("malformed kind `{}`", header.kind))?;
-            let strategy =
-                StrategyKind::parse(s).ok_or_else(|| format!("unknown strategy `{s}`"))?;
-            (label, Some(strategy))
-        }
-        None => (header.kind.as_str(), None),
-    };
+    let (kind_label, strategy) = header
+        .kind
+        .split_once(" [strategy=")
+        .and_then(|(label, rest)| Some((label, rest.strip_suffix(']')?)))
+        .ok_or_else(|| format!("malformed kind `{}`", header.kind))?;
+    let strategy =
+        StrategyKind::parse(strategy).ok_or_else(|| format!("unknown strategy `{strategy}`"))?;
     let kind = PipelineKind::from_label(kind_label)
         .ok_or_else(|| format!("unknown pipeline `{kind_label}`"))?;
     Ok((
@@ -458,11 +350,11 @@ pub fn spec_from_header(
     ))
 }
 
-/// Which search backend drives a strategy campaign (see
+/// Which search backend drives a campaign (see
 /// [`run_strategy_campaign_opts`]). All four run through the
 /// asynchronous scheduler and share the stopper / subset-provider /
 /// checkpoint toolchain; they differ only in how the next configuration
-/// is chosen.
+/// is chosen. The GA is the paper's pipeline and the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum StrategyKind {
     /// The genetic algorithm, ported onto the strategy trait. Keeps its
@@ -537,19 +429,8 @@ fn build_strategy(
     }
 }
 
-/// The checkpoint header a strategy campaign binds to: the pipeline
-/// label is extended with the backend so a WAL written by one strategy
-/// can never silently resume under another (or under the classic
-/// `GaTuner` loop).
-fn strategy_header(spec: &CampaignSpec, kind: StrategyKind) -> CheckpointHeader {
-    let mut header = spec_header(spec);
-    header.kind = format!("{} [strategy={}]", spec.kind.label(), kind.label());
-    header
-}
-
-/// Default evaluator-slot count for strategy campaigns: one per host
-/// core, capped at 8 (the simulator is CPU-bound; more slots just adds
-/// scheduling noise).
+/// Default evaluator-slot count: one per host core, capped at 8 (the
+/// simulator is CPU-bound; more slots just adds scheduling noise).
 fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -557,27 +438,65 @@ fn default_threads() -> usize {
         .min(8)
 }
 
-/// Run one strategy campaign with default options.
-pub fn run_strategy_campaign(
-    spec: &CampaignSpec,
-    strategy: StrategyKind,
-) -> Result<CampaignOutcome, CampaignError> {
-    run_strategy_campaign_opts(spec, strategy, &CampaignOptions::default())
-}
-
-/// Run one campaign through the asynchronous strategy scheduler.
+/// Run one campaign through the asynchronous strategy scheduler — the
+/// one campaign driver.
 ///
-/// Mirrors [`run_campaign_opts`] — same engine, same stopper and smart
-/// subset wiring per [`PipelineKind`], same checkpoint/resume WAL — but
-/// the search is driven by the chosen [`StrategyKind`] with
-/// `opts.threads` parallel evaluator slots refilled as soon as a
-/// simulation completes. The outcome (trace, checkpoint trajectory) is
-/// bitwise identical for every thread count; only the `profile` field's
-/// float accumulation order varies.
+/// Builds the engine, the stopper and smart subset wiring per
+/// [`PipelineKind`] and the checkpoint/resume WAL, then lets the chosen
+/// [`StrategyKind`] search with `opts.threads` parallel evaluator slots,
+/// refilled as soon as a simulation completes. The outcome (trace,
+/// profile, checkpoint trajectory) is bitwise identical for every
+/// thread count.
 pub fn run_strategy_campaign_opts(
     spec: &CampaignSpec,
     strategy: StrategyKind,
     opts: &CampaignOptions,
+) -> Result<CampaignOutcome, CampaignError> {
+    run_with_agents(spec, strategy, opts, None)
+}
+
+/// Externally owned campaign hooks: agents that outlive one campaign.
+struct Agents<'a> {
+    stopper: &'a mut dyn Stopper,
+    subsets: &'a mut dyn SubsetProvider,
+}
+
+/// The stopper and subset provider a [`PipelineKind`] tunes with. The
+/// TunIO agents are pretrained here, inside the campaign span.
+fn pipeline_agents(
+    spec: &CampaignSpec,
+    opts: &CampaignOptions,
+    space: &ParameterSpace,
+    cluster: ClusterSpec,
+) -> (Box<dyn Stopper>, Box<dyn SubsetProvider>) {
+    let subsets: Box<dyn SubsetProvider> = match spec.kind {
+        PipelineKind::TunIo | PipelineKind::ImpactFirstOnly => Box::new(match &opts.warm_start {
+            Some(features) => SmartConfigAgent::from_features(features, space, cluster, spec.seed),
+            None => SmartConfigAgent::pretrained(space, cluster, spec.seed),
+        }),
+        _ => Box::new(AllParams),
+    };
+    let stopper: Box<dyn Stopper> = match spec.kind {
+        PipelineKind::TunIo | PipelineKind::RlStopOnly => {
+            let mut agent = EarlyStopAgent::pretrained(spec.max_iterations, spec.seed);
+            agent.begin_campaign();
+            Box::new(agent)
+        }
+        PipelineKind::HsTunerHeuristic => Box::new(HeuristicStop::paper_default()),
+        PipelineKind::HsTunerNoStop | PipelineKind::ImpactFirstOnly => Box::new(NoStop),
+    };
+    (stopper, subsets)
+}
+
+/// The campaign driver behind [`run_strategy_campaign_opts`] and
+/// [`run_campaign_with`]. `agents` replaces the per-[`PipelineKind`]
+/// stopper and subset provider the driver would otherwise build (and
+/// pretrain) itself.
+fn run_with_agents(
+    spec: &CampaignSpec,
+    strategy: StrategyKind,
+    opts: &CampaignOptions,
+    agents: Option<Agents<'_>>,
 ) -> Result<CampaignOutcome, CampaignError> {
     let space = ParameterSpace::tunio_default();
     let mut sim = if spec.large_scale {
@@ -614,43 +533,20 @@ pub fn run_strategy_campaign_opts(
         backend.warm_start(&seeds);
     }
 
-    let needs_smart = matches!(
-        spec.kind,
-        PipelineKind::TunIo | PipelineKind::ImpactFirstOnly
-    );
-    let needs_rl_stop = matches!(spec.kind, PipelineKind::TunIo | PipelineKind::RlStopOnly);
-
-    let mut smart = if needs_smart {
-        Some(match &opts.warm_start {
-            Some(features) => SmartConfigAgent::from_features(features, &space, cluster, spec.seed),
-            None => SmartConfigAgent::pretrained(&space, cluster, spec.seed),
-        })
-    } else {
-        None
-    };
-    let mut all_params = AllParams;
-
-    let mut stopper: Box<dyn Stopper> = if needs_rl_stop {
-        let mut agent = EarlyStopAgent::pretrained(spec.max_iterations, spec.seed);
-        agent.begin_campaign();
-        Box::new(agent)
-    } else {
-        match spec.kind {
-            PipelineKind::HsTunerHeuristic => Box::new(HeuristicStop::paper_default()),
-            _ => Box::new(NoStop),
+    let mut built = None;
+    let (stopper, subsets): (&mut dyn Stopper, &mut dyn SubsetProvider) = match agents {
+        Some(Agents { stopper, subsets }) => (stopper, subsets),
+        None => {
+            let (stopper, subsets) = built.insert(pipeline_agents(spec, opts, &space, cluster));
+            (stopper.as_mut(), subsets.as_mut())
         }
-    };
-
-    let subsets: &mut dyn SubsetProvider = match &mut smart {
-        Some(agent) => agent,
-        None => &mut all_params,
     };
 
     let mut checkpointer = match &opts.checkpoint {
         Some(path) => Some(CheckpointObserver::open(
             path,
             opts.resume,
-            &strategy_header(spec, strategy),
+            &spec_header(spec, strategy),
             &engine,
             opts.abort_after,
         )?),
@@ -669,7 +565,7 @@ pub fn run_strategy_campaign_opts(
     let run = tunio_tuner::run_strategy_opts(
         &engine,
         backend,
-        stopper.as_mut(),
+        stopper,
         subsets,
         spec.population.max(1),
         threads,
@@ -698,9 +594,8 @@ pub fn run_strategy_campaign_opts(
 /// Deterministic JSON dump of a campaign outcome. Floats use Rust's
 /// shortest round-trip formatting, so two bitwise-identical outcomes
 /// produce byte-identical files — the CI crash/resume jobs assert
-/// equality with a plain `diff`. The volatile `profile` accumulator
-/// (float fold order varies across thread counts) is deliberately
-/// excluded.
+/// equality with a plain `diff`. The `profile` attribution is not part
+/// of the dump.
 pub fn outcome_json(outcome: &CampaignOutcome) -> String {
     let t = &outcome.trace;
     let mut s = String::from("{\n");
@@ -752,7 +647,7 @@ struct ReplayCheck {
     best_perf: f64,
     cumulative_cost_s: f64,
     entry_keys: Vec<Vec<usize>>,
-    strategy_state: Option<String>,
+    strategy_state: String,
 }
 
 /// The write-ahead-log attachment: drains the engine's cache journal
@@ -765,8 +660,7 @@ struct CheckpointObserver<'a> {
     abort_after: Option<u32>,
     error: Option<CheckpointError>,
     written: trace::Counter,
-    /// Drained-but-unattributed journal entries, keyed by gene key. Only
-    /// used for strategy campaigns (snapshots carrying `charged`): under
+    /// Drained-but-unattributed journal entries, keyed by gene key: under
     /// threaded evaluation an entry can be charged before its window
     /// closes *or* drain during a later window, so entries park here
     /// until the scheduler's charged-key list claims them.
@@ -783,8 +677,11 @@ impl<'a> CheckpointObserver<'a> {
     ) -> Result<Self, CheckpointError> {
         engine.enable_journal();
         let (writer, replay) = if resume && path.exists() {
+            // Header first: a foreign format version is a spec mismatch
+            // on `version`, which `load` itself would only call a bad
+            // header.
+            checkpoint::read_header(path)?.ensure_matches(header)?;
             let (stored, generations) = checkpoint::load(path)?;
-            stored.ensure_matches(header)?;
             // Heal the file down to its trusted prefix (a kill mid-append
             // leaves a torn final line that must not be appended after).
             let writer = CheckpointWriter::rewrite(path, &stored, &generations)?;
@@ -852,7 +749,7 @@ impl<'a> CheckpointObserver<'a> {
                 want.entry_keys.len()
             ));
         }
-        if want.strategy_state.is_some() && snap.strategy_state != want.strategy_state {
+        if snap.strategy_state != want.strategy_state {
             return Some("strategy state diverged from the recorded snapshot".into());
         }
         None
@@ -864,26 +761,20 @@ impl CampaignObserver for CheckpointObserver<'_> {
         if self.error.is_some() {
             return; // already failed; surfaced after the run
         }
-        let drained = self.engine.drain_journal();
-        let entries: Vec<CacheEntry> = match &snap.charged {
-            // Classic GA path: the batch evaluator is synchronous, so the
-            // journal drains in a deterministic order that IS the
-            // window's entry list.
-            None => drained,
-            // Strategy path: completions land in wall-clock order, so
-            // attribute entries by the scheduler's commit-ordered charged
-            // keys instead. Entries charged for not-yet-committed
-            // proposals stay pooled for a later window; entries whose
-            // proposal never commits (in flight at an early stop, or the
-            // incumbent-default evaluation) are simply never written —
-            // a resumed run re-simulates them deterministically.
-            Some(charged) => {
-                for e in drained {
-                    self.pool.insert(e.key.clone(), e);
-                }
-                charged.iter().filter_map(|k| self.pool.remove(k)).collect()
-            }
-        };
+        // Completions land in wall-clock order, so journal entries are
+        // attributed by the scheduler's commit-ordered charged keys (the
+        // first window leads with the default evaluation). Entries charged for not-yet-committed proposals stay pooled for
+        // a later window; entries whose proposal never commits (in flight
+        // at an early stop) are simply never written — a resumed run
+        // re-simulates them deterministically.
+        for e in self.engine.drain_journal() {
+            self.pool.insert(e.key.clone(), e);
+        }
+        let entries: Vec<CacheEntry> = snap
+            .charged
+            .iter()
+            .filter_map(|k| self.pool.remove(k))
+            .collect();
         if (snap.iteration as usize) <= self.replay.len() {
             // Replayed generation: already durable in the log. Verify the
             // resumed run retraced it instead of silently forking history.
@@ -1164,7 +1055,7 @@ mod tests {
             ..CampaignOptions::default()
         };
         let s = spec(PipelineKind::HsTunerNoStop, 3);
-        let err = run_campaign_opts(&s, &opts).unwrap_err();
+        let err = run_strategy_campaign_opts(&s, StrategyKind::Ga, &opts).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1174,7 +1065,7 @@ mod tests {
             ),
             "got {err}"
         );
-        // The strategy scheduler path hits the same boundary.
+        // An asynchronous backend on parallel slots hits the same boundary.
         let err = run_strategy_campaign_opts(
             &s,
             StrategyKind::Random,
@@ -1203,8 +1094,8 @@ mod tests {
             seed: 77,
             large_scale: true,
         };
-        let (back, strategy) = spec_from_header(&spec_header(&s)).unwrap();
-        assert_eq!(strategy, None);
+        let (back, strategy) = spec_from_header(&spec_header(&s, StrategyKind::Ga)).unwrap();
+        assert_eq!(strategy, StrategyKind::Ga);
         assert_eq!(back.app.name, s.app.name);
         assert_eq!(back.variant, s.variant);
         assert_eq!(back.kind, s.kind);
@@ -1213,20 +1104,27 @@ mod tests {
         assert_eq!(back.seed, s.seed);
         assert_eq!(back.large_scale, s.large_scale);
 
-        let (back, strategy) = spec_from_header(&strategy_header(&s, StrategyKind::Bo)).unwrap();
-        assert_eq!(strategy, Some(StrategyKind::Bo));
+        let (back, strategy) = spec_from_header(&spec_header(&s, StrategyKind::Bo)).unwrap();
+        assert_eq!(strategy, StrategyKind::Bo);
         assert_eq!(back.kind, s.kind);
     }
 
     #[test]
     fn spec_from_header_names_what_it_cannot_host() {
         let s = spec(PipelineKind::TunIo, 4);
-        let mut h = spec_header(&s);
+        let mut h = spec_header(&s, StrategyKind::Ga);
         h.kind = "TunIO [strategy=alien]".to_string();
         assert!(spec_from_header(&h).unwrap_err().contains("alien"));
-        let mut h = spec_header(&s);
+        let mut h = spec_header(&s, StrategyKind::Ga);
         h.app = "no-such-app".to_string();
         assert!(spec_from_header(&h).unwrap_err().contains("no-such-app"));
+        // A version-1 WAL: written before every campaign ran through the
+        // scheduler, with a bare pipeline label for the kind.
+        let mut h = spec_header(&s, StrategyKind::Ga);
+        h.version = 1;
+        h.kind = "TunIO".to_string();
+        let why = spec_from_header(&h).unwrap_err();
+        assert!(why.contains("checkpoint version 1"), "{why}");
     }
 
     #[test]
@@ -1250,42 +1148,28 @@ mod tests {
 /// "when the component is exposed to new applications, it can learn from
 /// the new trends it sees" (§V-C). The early stopper's campaign-local
 /// history is reset; everything learned (Q-networks, observer, impact
-/// ranking) persists.
-pub fn run_campaign_with(tunio: &mut crate::TunIo, spec: &CampaignSpec) -> CampaignOutcome {
-    let space = ParameterSpace::tunio_default();
-    let sim = if spec.large_scale {
-        Simulator::cori_500node(spec.seed)
-    } else {
-        Simulator::cori_4node(spec.seed)
-    };
-    let workload = Workload::new(spec.app.clone(), spec.variant);
-    let engine = EvalEngine::new(sim, workload, space, 3);
-    let mut tuner = GaTuner::new(GaConfig {
-        population: spec.population,
-        max_iterations: spec.max_iterations,
-        seed: spec.seed,
-        ..GaConfig::default()
-    });
+/// ranking) persists. The bundle's agents replace the ones `spec.kind`
+/// would build, so the outcome reports the TunIO pipeline.
+pub fn run_campaign_with(
+    tunio: &mut crate::TunIo,
+    spec: &CampaignSpec,
+) -> Result<CampaignOutcome, CampaignError> {
     tunio.early_stop.max_iterations = spec.max_iterations;
     tunio.early_stop.begin_campaign();
-    let crate::TunIo {
-        smart_config,
-        early_stop,
-        ..
-    } = tunio;
-    let span = campaign_span(spec);
-    let trace = tuner.run(&engine, early_stop, smart_config);
-    let wall_breakdown = finish_campaign(span, spec, &engine, &trace);
-    CampaignOutcome {
+    let agents = Agents {
+        stopper: &mut tunio.early_stop,
+        subsets: &mut tunio.smart_config,
+    };
+    let outcome = run_with_agents(
+        spec,
+        StrategyKind::Ga,
+        &CampaignOptions::default(),
+        Some(agents),
+    )?;
+    Ok(CampaignOutcome {
         kind: PipelineKind::TunIo,
-        trace,
-        profile: engine.profile_snapshot(),
-        resilience: engine.resilience(),
-        scheduler: None,
-        racing: RacingCounters::default(),
-        counters: engine.counters(),
-        wall_breakdown,
-    }
+        ..outcome
+    })
 }
 
 #[cfg(test)]
@@ -1322,13 +1206,18 @@ mod checkpoint_tests {
         }
         assert_eq!(a.trace.best_perf, b.trace.best_perf);
         assert_eq!(a.trace.default_perf, b.trace.default_perf);
-        assert_eq!(
-            a.trace.best_config.genes(),
-            b.trace.best_config.genes(),
-            "best configuration must be identical"
-        );
+        assert_eq!(a.trace.best_config.genes(), b.trace.best_config.genes());
         assert_eq!(a.trace.stopped_early, b.trace.stopped_early);
         assert_eq!(a.profile, b.profile, "profile accumulator must match");
+    }
+
+    /// Options for a checkpointed campaign.
+    fn checkpointed(path: &Path, resume: bool) -> CampaignOptions {
+        CampaignOptions {
+            checkpoint: Some(path.to_path_buf()),
+            resume,
+            ..CampaignOptions::default()
+        }
     }
 
     /// Keep the header plus the first `k` generation lines, then append a
@@ -1347,11 +1236,8 @@ mod checkpoint_tests {
         let s = spec(PipelineKind::HsTunerNoStop, 6, 17);
         let plain = run_campaign(&s).unwrap();
         let path = wal_path("plain-vs-ckpt.jsonl");
-        let opts = CampaignOptions {
-            checkpoint: Some(path.clone()),
-            ..CampaignOptions::default()
-        };
-        let ckpt = run_campaign_opts(&s, &opts).unwrap();
+        let ckpt =
+            run_strategy_campaign_opts(&s, StrategyKind::Ga, &checkpointed(&path, false)).unwrap();
         assert_outcomes_identical(&plain, &ckpt);
         assert_eq!(ckpt.resilience, ResilienceCounters::default());
         let (_, gens) = checkpoint::load(&path).unwrap();
@@ -1369,24 +1255,14 @@ mod checkpoint_tests {
     fn kill_mid_campaign_and_resume_reproduces_the_outcome() {
         let s = spec(PipelineKind::TunIo, 10, 23);
         let path = wal_path("kill-resume.jsonl");
-        let opts = CampaignOptions {
-            checkpoint: Some(path.clone()),
-            ..CampaignOptions::default()
-        };
-        let uninterrupted = run_campaign_opts(&s, &opts).unwrap();
+        let uninterrupted =
+            run_strategy_campaign_opts(&s, StrategyKind::Ga, &checkpointed(&path, false)).unwrap();
         let total = uninterrupted.trace.records.len();
         assert!(total >= 3, "need enough generations to kill mid-way");
 
         truncate_wal(&path, 2);
-        let resumed = run_campaign_opts(
-            &s,
-            &CampaignOptions {
-                checkpoint: Some(path.clone()),
-                resume: true,
-                ..CampaignOptions::default()
-            },
-        )
-        .unwrap();
+        let resumed =
+            run_strategy_campaign_opts(&s, StrategyKind::Ga, &checkpointed(&path, true)).unwrap();
         assert_outcomes_identical(&uninterrupted, &resumed);
         assert_eq!(resumed.resilience, uninterrupted.resilience);
 
@@ -1400,13 +1276,9 @@ mod checkpoint_tests {
     fn resume_is_a_noop_replay_when_the_campaign_already_finished() {
         let s = spec(PipelineKind::HsTunerHeuristic, 12, 29);
         let path = wal_path("finished-resume.jsonl");
-        let opts = CampaignOptions {
-            checkpoint: Some(path.clone()),
-            resume: true,
-            ..CampaignOptions::default()
-        };
-        let first = run_campaign_opts(&s, &opts).unwrap();
-        let second = run_campaign_opts(&s, &opts).unwrap();
+        let opts = checkpointed(&path, true);
+        let first = run_strategy_campaign_opts(&s, StrategyKind::Ga, &opts).unwrap();
+        let second = run_strategy_campaign_opts(&s, StrategyKind::Ga, &opts).unwrap();
         assert_outcomes_identical(&first, &second);
         // A full replay never touches the simulator.
         std::fs::remove_file(&path).ok();
@@ -1420,9 +1292,12 @@ mod checkpoint_tests {
             resume,
             ..CampaignOptions::default()
         };
-        run_campaign_opts(&spec(PipelineKind::HsTunerNoStop, 3, 31), &opts(false)).unwrap();
-        let err =
-            run_campaign_opts(&spec(PipelineKind::HsTunerNoStop, 3, 32), &opts(true)).unwrap_err();
+        let run = |seed, resume| {
+            let s = spec(PipelineKind::HsTunerNoStop, 3, seed);
+            run_strategy_campaign_opts(&s, StrategyKind::Ga, &opts(resume))
+        };
+        run(31, false).unwrap();
+        let err = run(32, true).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1431,25 +1306,6 @@ mod checkpoint_tests {
             "got {err}"
         );
         std::fs::remove_file(&path).ok();
-    }
-
-    /// Trace equality without the profile accumulator: threaded strategy
-    /// campaigns fold per-layer floats in completion order, so the
-    /// profile is the one field two identical campaigns may not share
-    /// bitwise.
-    fn assert_traces_identical(a: &CampaignOutcome, b: &CampaignOutcome) {
-        assert_eq!(a.trace.records.len(), b.trace.records.len());
-        for (x, y) in a.trace.records.iter().zip(&b.trace.records) {
-            assert_eq!(x.best_perf, y.best_perf, "gen {}", x.iteration);
-            assert_eq!(x.generation_best_perf, y.generation_best_perf);
-            assert_eq!(x.cost_s, y.cost_s, "gen {}", x.iteration);
-            assert_eq!(x.cumulative_cost_s, y.cumulative_cost_s);
-            assert_eq!(x.subset_size, y.subset_size);
-        }
-        assert_eq!(a.trace.best_perf, b.trace.best_perf);
-        assert_eq!(a.trace.default_perf, b.trace.default_perf);
-        assert_eq!(a.trace.best_config.genes(), b.trace.best_config.genes());
-        assert_eq!(a.trace.stopped_early, b.trace.stopped_early);
     }
 
     /// The tentpole acceptance test: every strategy backend survives a
@@ -1477,7 +1333,7 @@ mod checkpoint_tests {
 
             truncate_wal(&path, 3);
             let resumed = run_strategy_campaign_opts(&s, strategy, &opts(true)).unwrap();
-            assert_traces_identical(&uninterrupted, &resumed);
+            assert_outcomes_identical(&uninterrupted, &resumed);
             assert_eq!(
                 uninterrupted.scheduler,
                 resumed.scheduler,
@@ -1488,7 +1344,7 @@ mod checkpoint_tests {
             let (_, gens) = checkpoint::load(&path).unwrap();
             assert_eq!(gens.len(), uninterrupted.trace.records.len());
             assert!(
-                gens.iter().all(|g| g.strategy_state.is_some()),
+                gens.iter().all(|g| !g.strategy_state.is_empty()),
                 "{}: every WAL line must carry the strategy snapshot",
                 strategy.label()
             );
@@ -1518,12 +1374,43 @@ mod checkpoint_tests {
             ),
             "got {err}"
         );
-        // The classic GaTuner loop must refuse it too.
-        let err = run_campaign_opts(&s, &opts(true)).unwrap_err();
+        // The default backend must refuse it too.
+        let err = run_strategy_campaign_opts(&s, StrategyKind::Ga, &opts(true)).unwrap_err();
         assert!(
             matches!(
                 err,
                 CampaignError::Checkpoint(CheckpointError::SpecMismatch { field: "kind", .. })
+            ),
+            "got {err}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A WAL written before checkpoint version 2 (a bare pipeline label,
+    /// no strategy snapshots) must refuse to resume with a typed error
+    /// naming the version, not diverge somewhere mid-replay.
+    #[test]
+    fn resume_rejects_a_version_one_checkpoint() {
+        let s = spec(PipelineKind::HsTunerNoStop, 3, 45);
+        let path = wal_path("version-one.jsonl");
+        let mut v1 = spec_header(&s, StrategyKind::Ga);
+        v1.version = 1;
+        v1.kind = s.kind.label().to_string();
+        drop(CheckpointWriter::create(&path, &v1).unwrap());
+        let opts = CampaignOptions {
+            checkpoint: Some(path.clone()),
+            resume: true,
+            ..CampaignOptions::default()
+        };
+        let err = run_strategy_campaign_opts(&s, StrategyKind::Ga, &opts).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                CampaignError::Checkpoint(CheckpointError::SpecMismatch {
+                    field: "version",
+                    stored,
+                    ..
+                }) if stored == "1"
             ),
             "got {err}"
         );
@@ -1547,7 +1434,7 @@ mod checkpoint_tests {
         assert!(uninterrupted.trace.records.len() >= 3);
         truncate_wal(&path, 2);
         let resumed = run_strategy_campaign_opts(&s, StrategyKind::Bo, &opts(true)).unwrap();
-        assert_traces_identical(&uninterrupted, &resumed);
+        assert_outcomes_identical(&uninterrupted, &resumed);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1576,7 +1463,7 @@ mod checkpoint_tests {
 
         truncate_wal(&path, 3);
         let resumed = run_strategy_campaign_opts(&s, StrategyKind::Random, &opts(true)).unwrap();
-        assert_traces_identical(&uninterrupted, &resumed);
+        assert_outcomes_identical(&uninterrupted, &resumed);
         assert_eq!(uninterrupted.scheduler, resumed.scheduler);
         assert_eq!(
             outcome_json(&uninterrupted),
@@ -1628,16 +1515,15 @@ mod checkpoint_tests {
         let s = spec(PipelineKind::HsTunerNoStop, 8, 37);
         let path = wal_path("chaos-resume.jsonl");
         let chaos = |resume| CampaignOptions {
-            checkpoint: Some(path.clone()),
-            resume,
             fault_plan: Some(FaultPlan::chaos(37, 0.15)),
             policy: Some(FailurePolicy {
                 max_retries: 3,
                 ..FailurePolicy::default()
             }),
-            ..CampaignOptions::default()
+            ..checkpointed(&path, resume)
         };
-        let uninterrupted = run_campaign_opts(&s, &chaos(false)).unwrap();
+        let uninterrupted =
+            run_strategy_campaign_opts(&s, StrategyKind::Ga, &chaos(false)).unwrap();
         assert!(
             uninterrupted.resilience.faults_injected > 0,
             "the chaos plan must actually fire"
@@ -1648,7 +1534,7 @@ mod checkpoint_tests {
         );
 
         truncate_wal(&path, 3);
-        let resumed = run_campaign_opts(&s, &chaos(true)).unwrap();
+        let resumed = run_strategy_campaign_opts(&s, StrategyKind::Ga, &chaos(true)).unwrap();
         // Resilience counters legitimately differ (replayed successes do
         // not re-run the simulator, so their fault draws never happen);
         // the campaign outcome itself must not.
@@ -1678,13 +1564,13 @@ mod reuse_tests {
             seed: 31,
             large_scale: false,
         };
-        let first = run_campaign_with(&mut tunio, &spec);
+        let first = run_campaign_with(&mut tunio, &spec).unwrap();
         assert!(first.trace.best_perf > first.trace.default_perf);
 
         // Same agents, new application: learning carries over, history
         // does not.
         spec.app = flash();
-        let second = run_campaign_with(&mut tunio, &spec);
+        let second = run_campaign_with(&mut tunio, &spec).unwrap();
         assert!(second.trace.best_perf > second.trace.default_perf);
         assert!(second.trace.iterations() <= 15);
     }

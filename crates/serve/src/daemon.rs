@@ -31,8 +31,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use tunio::checkpoint::{load, scan_dir, CheckpointHeader};
 use tunio::pipeline::{
-    outcome_json, run_campaign_opts, run_strategy_campaign_opts, spec_from_header, CampaignOptions,
-    CampaignSpec, PipelineKind, StrategyKind,
+    outcome_json, run_strategy_campaign_opts, spec_from_header, CampaignOptions, CampaignSpec,
+    PipelineKind, StrategyKind,
 };
 use tunio_iosim::{FaultPlan, NoiseProfile};
 use tunio_trace as trace;
@@ -94,8 +94,8 @@ pub struct CampaignRequest {
     pub app: String,
     /// Pipeline label, as in `tunio-tune --pipeline`.
     pub pipeline: String,
-    /// Optional strategy backend (`ga|random|lhs|bo`); classic GA loop
-    /// when absent.
+    /// Optional strategy backend (`ga|random|lhs|bo`); the GA when
+    /// absent.
     pub strategy: Option<String>,
     /// `full`, `kernel`, or `reduced:<frac>`.
     pub variant: String,
@@ -107,7 +107,7 @@ pub struct CampaignRequest {
     pub seed: u64,
     /// 500-node scale when true.
     pub large_scale: bool,
-    /// Evaluator threads for strategy campaigns.
+    /// Parallel evaluator slots.
     pub threads: Option<usize>,
     /// Transient-fault injection rate (chaos testing).
     pub fault_rate: Option<f64>,
@@ -120,7 +120,7 @@ pub struct CampaignRequest {
     pub noise_profile: Option<String>,
     /// Interference seed (defaults to the campaign seed).
     pub noise_seed: Option<u64>,
-    /// Noise-robust racing evaluation (strategy campaigns only).
+    /// Noise-robust racing evaluation.
     pub racing: bool,
 }
 
@@ -173,9 +173,6 @@ impl CampaignRequest {
         if let Some(p) = &req.noise_profile {
             NoiseProfile::parse(p)
                 .ok_or_else(|| format!("unknown noise profile `{p}` (want quiet|busy|storm)"))?;
-        }
-        if req.racing && req.strategy.is_none() {
-            return Err("racing needs a strategy backend (`strategy`)".to_string());
         }
         req.to_spec()?; // validate app/pipeline/variant/strategy up front
         Ok(req)
@@ -709,10 +706,7 @@ fn run_admitted(shared: &Arc<Shared>, id: &str, request: &CampaignRequest, wal: 
         if request.inject_panic {
             panic!("injected panic drill (inject_panic=true)");
         }
-        match strategy {
-            Some(s) => run_strategy_campaign_opts(&spec, s, &opts),
-            None => run_campaign_opts(&spec, &opts),
-        }
+        run_strategy_campaign_opts(&spec, strategy.unwrap_or(StrategyKind::Ga), &opts)
     }));
     match result {
         Ok(Ok(outcome)) => {
@@ -935,7 +929,7 @@ fn recover_request(
             PipelineKind::RlStopOnly => "rl-stop",
         }
         .to_string(),
-        strategy: strategy.map(|s| s.label().to_string()),
+        strategy: Some(strategy.label().to_string()),
         variant: match spec.variant {
             Variant::Full => "full".to_string(),
             Variant::Kernel => "kernel".to_string(),
@@ -1346,12 +1340,20 @@ mod tests {
     }
 
     #[test]
-    fn racing_requires_a_strategy_backend() {
-        let err = CampaignRequest::from_json(&value(
+    fn racing_is_accepted_on_the_default_backend() {
+        // Racing runs on every backend, the default GA included: a
+        // submission without `strategy` keeps its racing flag through
+        // the meta sidecar a restarted daemon re-enqueues it from.
+        let req = CampaignRequest::from_json(&value(
             "{\"tenant\":\"t\",\"app\":\"hacc\",\"racing\":true}",
         ))
-        .unwrap_err();
-        assert!(err.contains("strategy"), "{err}");
+        .unwrap();
+        assert!(req.racing);
+        assert!(req.strategy.is_none());
+        let sidecar = req.to_json();
+        assert!(sidecar.contains("\"racing\":true"), "{sidecar}");
+        let reparsed = CampaignRequest::from_json(&value(&sidecar)).unwrap();
+        assert_eq!(format!("{reparsed:?}"), format!("{req:?}"));
         let err = CampaignRequest::from_json(&value(
             "{\"tenant\":\"t\",\"app\":\"hacc\",\"noise_profile\":\"gale\"}",
         ))

@@ -313,9 +313,22 @@ fn boot_quarantines_alien_wals_and_keeps_serving() {
     // A WAL this build cannot host (unknown strategy)...
     std::fs::write(
         dir.join("z--alien.jsonl"),
-        "{\"version\":1,\"app\":\"hacc\",\"variant\":\"Kernel\",\
+        "{\"version\":2,\"app\":\"hacc\",\"variant\":\"Kernel\",\
          \"kind\":\"TunIO [strategy=alien]\",\"max_iterations\":4,\
          \"population\":4,\"seed\":1,\"large_scale\":false}\n",
+    )
+    .unwrap();
+    // ...a version-1 WAL from before every campaign ran through the
+    // strategy scheduler (bare pipeline label, a GA generation line)...
+    std::fs::write(
+        dir.join("z--v1.jsonl"),
+        "{\"version\":1,\"app\":\"hacc\",\"variant\":\"Kernel\",\
+         \"kind\":\"TunIO\",\"max_iterations\":4,\
+         \"population\":4,\"seed\":1,\"large_scale\":false}\n\
+         {\"iteration\":1,\"rng_state\":[1,2,3,4],\"record\":{\"iteration\":1,\
+         \"best_perf\":1.0,\"generation_best_perf\":1.0,\"cost_s\":1.0,\
+         \"cumulative_cost_s\":1.0,\"subset_size\":12},\"population\":[],\
+         \"best_genes\":[],\"stopped\":false,\"entries\":[]}\n",
     )
     .unwrap();
     // ...and one that is not a checkpoint at all.
@@ -324,8 +337,15 @@ fn boot_quarantines_alien_wals_and_keeps_serving() {
     let mut daemon = Daemon::start(config(&dir, 1)).expect("daemon boots despite bad WALs");
     let addr = daemon.addr();
     assert!(dir.join("z--alien.jsonl.quarantined").exists());
+    assert!(dir.join("z--v1.jsonl.quarantined").exists());
     assert!(dir.join("z--noise.jsonl.quarantined").exists());
     assert!(!dir.join("z--alien.jsonl").exists());
+    assert!(!dir.join("z--v1.jsonl").exists());
+    let (_, listed) = http(addr, "GET", "/campaigns", None);
+    assert!(
+        !listed.contains("z--v1"),
+        "a v1 WAL must not resume: {listed}"
+    );
 
     // Quarantine is an event, not an outage: submissions still work.
     let (status, _) = submit(

@@ -147,7 +147,7 @@ pub type Fields = Vec<(&'static str, FieldValue)>;
 pub struct Record {
     /// Microseconds since the tracer's epoch (first use in the process).
     pub t_us: u64,
-    /// Record name, e.g. `"ga.generation"`.
+    /// Record name, e.g. `"search.window"`.
     pub name: String,
     /// Span duration in microseconds; `None` for instantaneous events.
     pub dur_us: Option<u64>,

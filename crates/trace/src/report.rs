@@ -11,7 +11,8 @@ use crate::{FieldValue, Record};
 /// Bytes per megabyte (perf fields are bytes/s; reports show MB/s).
 const MB: f64 = 1_000_000.0;
 
-/// One generation row reconstructed from a `ga.generation` span.
+/// One generation row reconstructed from a `search.window` span (one
+/// per closed scheduler window, for every search backend).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GenerationRow {
     /// Generation number (1-based).
@@ -327,7 +328,7 @@ pub fn summarize(records: &[Record]) -> Vec<CampaignSummary> {
                     .or(target.app.take());
                 target.campaign_wall_us = r.dur_us.or(target.campaign_wall_us);
             }
-            "ga.generation" => {
+            "search.window" => {
                 open = true;
                 cur.generations.push(GenerationRow {
                     iteration: u64_field(r, "iteration").unwrap_or(0),
@@ -738,7 +739,7 @@ mod tests {
 
     fn gen_record(iter: u64, best: f64, cum: f64) -> String {
         format!(
-            r#"{{"t_us":{},"name":"ga.generation","dur_us":1200,"fields":{{"iteration":{iter},"best_perf":{best},"generation_best_perf":{best},"cost_s":60.0,"cumulative_cost_s":{cum},"subset_size":12}}}}"#,
+            r#"{{"t_us":{},"name":"search.window","dur_us":1200,"fields":{{"iteration":{iter},"best_perf":{best},"generation_best_perf":{best},"cost_s":60.0,"cumulative_cost_s":{cum},"subset_size":12}}}}"#,
             iter * 1000
         )
     }
@@ -864,8 +865,8 @@ mod tests {
 
     fn chaos_trace() -> String {
         let lines = [
-            r#"{"t_us":1000,"name":"ga.generation","dur_us":1200,"fields":{"iteration":1,"best_perf":100e6,"generation_best_perf":100e6,"cost_s":60.0,"cumulative_cost_s":60.0,"subset_size":12,"faults":3,"retries":2,"failures":0,"quarantined":0}}"#.to_string(),
-            r#"{"t_us":2000,"name":"ga.generation","dur_us":1100,"fields":{"iteration":2,"best_perf":400e6,"generation_best_perf":400e6,"cost_s":60.0,"cumulative_cost_s":120.0,"subset_size":12,"faults":5,"retries":1,"failures":1,"quarantined":1}}"#.to_string(),
+            r#"{"t_us":1000,"name":"search.window","dur_us":1200,"fields":{"iteration":1,"best_perf":100e6,"generation_best_perf":100e6,"cost_s":60.0,"cumulative_cost_s":60.0,"subset_size":12,"faults":3,"retries":2,"failures":0,"quarantined":0}}"#.to_string(),
+            r#"{"t_us":2000,"name":"search.window","dur_us":1100,"fields":{"iteration":2,"best_perf":400e6,"generation_best_perf":400e6,"cost_s":60.0,"cumulative_cost_s":120.0,"subset_size":12,"faults":5,"retries":1,"failures":1,"quarantined":1}}"#.to_string(),
             r#"{"t_us":2600,"name":"campaign.done","fields":{"kind":"TunIO","app":"hacc","best_perf":400e6,"default_perf":100e6,"stopped_early":false,"stopper_name":"budget","evaluations":30,"cache_hits":70,"faults_injected":8,"retries":3,"failed_evaluations":1,"quarantined_keys":1,"penalties_served":2}}"#.to_string(),
         ];
         lines.join("\n")

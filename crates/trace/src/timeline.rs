@@ -105,7 +105,7 @@ impl Segment {
 }
 
 /// Map a span name to its covered segment, if it has one. Container
-/// spans (`campaign`, `ga.generation`, `strategy.campaign`, ...) are
+/// spans (`campaign`, `search.window`, `strategy.campaign`, ...) are
 /// deliberately unmapped: they bound the window, they are not segments.
 fn categorize(name: &str) -> Option<Segment> {
     match name {
@@ -735,14 +735,14 @@ mod tests {
     fn critical_path_follows_latest_ending_child() {
         let spans = vec![
             row(1, None, "campaign", 0, 1000),
-            row(2, Some(1), "ga.generation", 0, 300),
-            row(3, Some(1), "ga.generation", 300, 650), // ends last
+            row(2, Some(1), "search.window", 0, 300),
+            row(3, Some(1), "search.window", 300, 650), // ends last
             row(4, Some(3), "eval.simulate", 400, 500),
             row(5, Some(3), "eval.simulate", 350, 100),
         ];
         let t = compute(1, &spans, 0, 1000, 0, true);
         let names: Vec<&str> = t.critical_path.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["campaign", "ga.generation", "eval.simulate"]);
+        assert_eq!(names, ["campaign", "search.window", "eval.simulate"]);
         assert_eq!(t.critical_path[2].span_id, 4);
         // campaign self time = 1000 − union of children [0,300)∪[300,950).
         assert_eq!(t.critical_path[0].self_us, 50);

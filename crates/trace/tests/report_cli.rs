@@ -43,9 +43,9 @@ fn truncated_trace_reports_the_parsed_prefix() {
     let contents = concat!(
         r#"{"t_us":0,"name":"campaign","fields":{"label":"t","iterations":2}}"#,
         "\n",
-        r#"{"t_us":100,"name":"ga.generation","fields":{"iter":0,"best_perf":1.0}}"#,
+        r#"{"t_us":100,"name":"search.window","fields":{"iter":0,"best_perf":1.0}}"#,
         "\n",
-        r#"{"t_us":200,"name":"ga.gener"#, // torn tail: process was killed
+        r#"{"t_us":200,"name":"search.win"#, // torn tail: process was killed
     );
     let path = tmp_file("torn", contents);
     let out = report_bin().arg(&path).output().unwrap();

@@ -23,6 +23,10 @@
 //!    time; later duplicates and cache hits are free — exactly what a
 //!    serial memoized loop over the same batch would charge.
 //!
+//! The pooled per-layer profile is kept per key and summed in key order
+//! ([`EvalEngine::profile_snapshot`]), so it too is independent of which
+//! evaluator slot finished first.
+//!
 //! The engine also keeps counters ([`EvalCounters`]) separating the
 //! *simulated* tuning cost charged to the budget from the *real* wall
 //! time spent inside the simulator, for the bench binaries.
@@ -31,7 +35,7 @@ use crate::racing::{Moments, RaceDiscard, RaceOutcome, RacingConfig, RacingCount
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
@@ -315,7 +319,10 @@ pub struct EvalEngine {
     quarantined_keys: AtomicU64,
     penalties_served: AtomicU64,
     charged_cost_s: Mutex<f64>,
-    profile: Mutex<Profile>,
+    /// Charged evaluations' profiles by key. Snapshots fold them in key
+    /// order, so the pooled profile does not depend on which evaluator
+    /// slot finished first.
+    profiles: Mutex<BTreeMap<Vec<usize>, Profile>>,
     fail_state: Mutex<HashMap<Vec<usize>, KeyFailState>>,
     /// Keys mid-race: warm samples accumulated, settle pending.
     races: Mutex<HashMap<Vec<usize>, RaceState>>,
@@ -395,7 +402,7 @@ impl EvalEngine {
             quarantined_keys: AtomicU64::new(0),
             penalties_served: AtomicU64::new(0),
             charged_cost_s: Mutex::new(0.0),
-            profile: Mutex::new(Profile::new()),
+            profiles: Mutex::new(BTreeMap::new()),
             fail_state: Mutex::new(HashMap::new()),
             races: Mutex::new(HashMap::new()),
             race_meta: Mutex::new(HashMap::new()),
@@ -678,18 +685,20 @@ impl EvalEngine {
         self.shards[Self::shard_of(key)].lock().remove(key);
     }
 
-    /// Fold one charged evaluation's profile into the engine accumulator
-    /// and the per-layer self-time histograms. Called only from serial
-    /// accounting sections, in batch input order, so the float sums in
-    /// the accumulated profile are deterministic.
-    fn charge_profile(&self, profile: &Profile) {
+    /// Record one charged evaluation's profile under its key and in the
+    /// per-layer self-time histograms.
+    fn charge_profile(&self, key: &[usize], profile: &Profile) {
         for (layer, stat) in profile.iter() {
             self.m_layer_self[layer as usize].record(stat.self_s);
             if layer == Layer::Interference && stat.self_s > 0.0 {
                 self.m_noise_interference.record(stat.self_s);
             }
         }
-        self.profile.lock().absorb(profile);
+        self.profiles
+            .lock()
+            .entry(key.to_vec())
+            .or_default()
+            .absorb(profile);
     }
 
     /// Look the key up; if some thread is mid-simulation on it, wait for
@@ -809,7 +818,7 @@ impl EvalEngine {
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         self.m_misses.inc(1);
         self.m_cost.record(report.elapsed_s);
-        self.charge_profile(profile);
+        self.charge_profile(key, profile);
         self.journal_push(key, &report, perf, profile);
         Evaluation {
             config: config.clone(),
@@ -946,9 +955,15 @@ impl EvalEngine {
     /// Snapshot the accumulated per-layer cost profile: the pooled
     /// attribution of every *charged* evaluation (first occurrence of
     /// each unique configuration). Its total time tracks
-    /// [`EvalCounters::charged_cost_s`].
+    /// [`EvalCounters::charged_cost_s`]. The per-key profiles are summed
+    /// in key order, so the snapshot is bitwise identical for any
+    /// thread count or completion order.
     pub fn profile_snapshot(&self) -> Profile {
-        self.profile.lock().clone()
+        let mut pooled = Profile::new();
+        for profile in self.profiles.lock().values() {
+            pooled.absorb(profile);
+        }
+        pooled
     }
 
     /// Snapshot the resilience counters.

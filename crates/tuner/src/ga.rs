@@ -1,17 +1,15 @@
-//! The genetic-algorithm tuner.
+//! Genetic-algorithm hyperparameters and the campaign trace types.
 //!
-//! Population-based search over configuration genomes with elitism and
-//! tournament selection (size 3, best two become parents — §III-A), the
-//! same structure the paper builds with DEAP.
+//! The GA itself — population-based search over configuration genomes
+//! with elitism and tournament selection (size 3, best two become
+//! parents — §III-A), the same structure the paper builds with DEAP — is
+//! [`crate::strategy::GaStrategy`], driven like every other backend by
+//! [`crate::scheduler::run_strategy`]. This module holds what all of
+//! them share: the per-window [`IterationRecord`], the finished
+//! [`TuningTrace`], and the [`CampaignObserver`] checkpoint hook.
 
-use crate::engine::EvalEngine;
-use crate::stoppers::Stopper;
-use crate::subset::SubsetProvider;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::Serialize;
 use tunio_params::Configuration;
-use tunio_trace as trace;
 
 /// Crossover operator variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -114,6 +112,26 @@ impl TuningTrace {
     pub fn gain(&self) -> f64 {
         (self.best_perf - self.default_perf).max(0.0)
     }
+
+    /// Export the per-iteration series as CSV (header + one row per
+    /// generation) for external plotting.
+    pub fn to_csv(&self) -> String {
+        let mut out = String::from(
+            "iteration,best_perf_bytes_per_s,generation_best_bytes_per_s,cost_s,cumulative_cost_s,subset_size\n",
+        );
+        for r in &self.records {
+            out.push_str(&format!(
+                "{},{},{},{},{},{}\n",
+                r.iteration,
+                r.best_perf,
+                r.generation_best_perf,
+                r.cost_s,
+                r.cumulative_cost_s,
+                r.subset_size
+            ));
+        }
+        out
+    }
 }
 
 /// Everything a checkpoint writer needs to know about one finished
@@ -126,9 +144,9 @@ pub struct GenerationSnapshot<'a> {
     pub record: &'a IterationRecord,
     /// The population that was evaluated this generation.
     pub population: &'a [Configuration],
-    /// Raw GA RNG state *after* this generation's breeding (at loop exit
-    /// for the final generation) — the value a deterministic replay must
-    /// reproduce to be trusted.
+    /// Raw strategy RNG state after this window's last observation (for
+    /// the GA: after breeding the next generation, when one follows) —
+    /// the value a deterministic replay must reproduce to be trusted.
     pub rng_state: [u64; 4],
     /// Best perf so far.
     pub best_perf: f64,
@@ -138,16 +156,13 @@ pub struct GenerationSnapshot<'a> {
     /// or budget exhausted).
     pub stopped: bool,
     /// Serialized [`crate::strategy::SearchStrategy`] state after this
-    /// window, when the campaign runs through the async scheduler
-    /// (`None` for the classic `GaTuner` loop, whose whole state is the
-    /// RNG + population already checkpointed).
-    pub strategy_state: Option<String>,
+    /// window.
+    pub strategy_state: String,
     /// Gene keys of this window's commits that charged the simulator, in
-    /// commit order — the canonical attribution of engine-journal cache
-    /// entries to windows when evaluations complete out of order under
-    /// the async scheduler. `None` for the classic `GaTuner` loop, whose
-    /// journal drains in a deterministic serial order anyway.
-    pub charged: Option<Vec<Vec<usize>>>,
+    /// commit order (the first window leads with the incumbent-default
+    /// evaluation) — the canonical attribution of engine-journal cache
+    /// entries to windows when evaluations complete out of order.
+    pub charged: Vec<Vec<usize>>,
 }
 
 /// Hook invoked after every completed generation — the write-ahead-log
@@ -164,297 +179,14 @@ impl CampaignObserver for NoObserver {
     fn on_generation(&mut self, _snapshot: &GenerationSnapshot<'_>) {}
 }
 
-/// The tuner.
-///
-/// ```
-/// use tunio_iosim::Simulator;
-/// use tunio_params::ParameterSpace;
-/// use tunio_tuner::{AllParams, EvalEngine, GaConfig, GaTuner, NoStop};
-/// use tunio_workloads::{hacc, Variant, Workload};
-///
-/// let engine = EvalEngine::new(
-///     Simulator::cori_4node(1),
-///     Workload::new(hacc(), Variant::Kernel),
-///     ParameterSpace::tunio_default(),
-///     3,
-/// );
-/// let mut tuner = GaTuner::new(GaConfig { max_iterations: 3, ..Default::default() });
-/// let trace = tuner.run(&engine, &mut NoStop, &mut AllParams);
-/// assert_eq!(trace.iterations(), 3);
-/// assert!(trace.best_perf >= trace.default_perf);
-/// ```
-#[derive(Debug)]
-pub struct GaTuner {
-    /// Hyperparameters.
-    pub cfg: GaConfig,
-    rng: StdRng,
-}
-
-impl GaTuner {
-    /// Create a tuner.
-    pub fn new(cfg: GaConfig) -> Self {
-        GaTuner {
-            rng: StdRng::seed_from_u64(cfg.seed),
-            cfg,
-        }
-    }
-
-    /// Run the tuning pipeline: evolve generations until the stopper fires
-    /// or the iteration budget is exhausted. Each generation's population
-    /// is evaluated as one [`EvalEngine::evaluate_batch`] call, so cache
-    /// misses run in parallel while the trace stays bitwise identical to
-    /// a serial evaluation.
-    pub fn run(
-        &mut self,
-        engine: &EvalEngine,
-        stopper: &mut dyn Stopper,
-        subsets: &mut dyn SubsetProvider,
-    ) -> TuningTrace {
-        self.run_with_observer(engine, stopper, subsets, &mut NoObserver)
-    }
-
-    /// [`GaTuner::run`] with a per-generation [`CampaignObserver`] hook —
-    /// the checkpoint writer's entry point. The observer sees every
-    /// generation after its bookkeeping (and breeding, when the campaign
-    /// continues) completes, so everything it records is durable state.
-    pub fn run_with_observer(
-        &mut self,
-        engine: &EvalEngine,
-        stopper: &mut dyn Stopper,
-        subsets: &mut dyn SubsetProvider,
-        observer: &mut dyn CampaignObserver,
-    ) -> TuningTrace {
-        let space = engine.space.clone();
-        let pop_size = self.cfg.population.max(2);
-        let mut population: Vec<Configuration> = Vec::new();
-
-        let mut campaign_span = trace::span(
-            "ga.campaign",
-            vec![
-                ("population", pop_size.into()),
-                ("max_iterations", self.cfg.max_iterations.into()),
-                ("seed", self.cfg.seed.into()),
-                ("stopper", stopper.name().into()),
-                ("subsets", subsets.name().into()),
-            ],
-        );
-
-        let default_perf = engine.evaluate(&space.default_config()).perf;
-        // Baseline for per-generation cost attribution: deltas exclude the
-        // default-configuration evaluation above.
-        let mut profile_prev = engine.profile_snapshot();
-        let mut resilience_prev = engine.resilience();
-
-        let mut best_config = space.default_config();
-        let mut best_perf = default_perf;
-        let mut cumulative = 0.0;
-        let mut records = Vec::new();
-        let mut stopped_early = false;
-
-        for iteration in 1..=self.cfg.max_iterations {
-            let mut gen_span = trace::span("ga.generation", vec![("iteration", iteration.into())]);
-            let subset = {
-                let s = subsets.next_subset(iteration, best_perf, &space);
-                if s.is_empty() {
-                    tunio_params::ParamId::ALL.to_vec()
-                } else {
-                    s
-                }
-            };
-
-            // The initial population is the default configuration plus
-            // partial mutants of it *within the first active subset*:
-            // tuning pipelines start from the deployed defaults, and
-            // exploration is confined to the parameters being tuned. A
-            // high-performing configuration usually needs several genes
-            // right simultaneously, so it must be assembled over
-            // generations — the wider the subset, the longer that takes.
-            if population.is_empty() {
-                population.push(space.default_config());
-                while population.len() < pop_size {
-                    let mut c = space.default_config();
-                    c.mutate_masked(&space, &subset, 0.12, &mut self.rng);
-                    population.push(c);
-                }
-            }
-
-            // Evaluate the generation in one parallel batch; results come
-            // back in population order, so the best-so-far fold below is
-            // identical to the old serial loop (first strict improvement
-            // wins ties).
-            let mut scored: Vec<(f64, Configuration)> = Vec::with_capacity(population.len());
-            let mut gen_cost = 0.0;
-            let mut gen_best = f64::NEG_INFINITY;
-            for e in engine.evaluate_batch(&population) {
-                gen_cost += e.cost_s;
-                gen_best = gen_best.max(e.perf);
-                if e.perf > best_perf {
-                    best_perf = e.perf;
-                    best_config = e.config.clone();
-                }
-                scored.push((e.perf, e.config));
-            }
-            cumulative += gen_cost;
-
-            records.push(IterationRecord {
-                iteration,
-                best_perf,
-                generation_best_perf: gen_best,
-                cost_s: gen_cost,
-                cumulative_cost_s: cumulative,
-                subset_size: subset.len(),
-            });
-            gen_span.add_field("best_perf", best_perf.into());
-            gen_span.add_field("generation_best_perf", gen_best.into());
-            gen_span.add_field("cost_s", gen_cost.into());
-            gen_span.add_field("cumulative_cost_s", cumulative.into());
-            gen_span.add_field("subset_size", subset.len().into());
-
-            // Per-generation fault/retry deltas, so `tunio-report` can
-            // render resilience columns without replaying counters.
-            let resilience = engine.resilience();
-            gen_span.add_field(
-                "faults",
-                (resilience.faults_injected - resilience_prev.faults_injected).into(),
-            );
-            gen_span.add_field(
-                "retries",
-                (resilience.retries - resilience_prev.retries).into(),
-            );
-            gen_span.add_field(
-                "failures",
-                (resilience.failed_evaluations - resilience_prev.failed_evaluations).into(),
-            );
-            gen_span.add_field(
-                "quarantined",
-                (resilience.quarantined_keys - resilience_prev.quarantined_keys).into(),
-            );
-            resilience_prev = resilience;
-
-            // Per-layer cost attribution for this generation: one
-            // `profile.layer` event per stack layer carrying the self time
-            // charged since the previous generation plus the cumulative
-            // total, so `tunio-report` can reconstruct the breakdown.
-            if trace::enabled() {
-                let snap = engine.profile_snapshot();
-                let delta = snap.delta_since(&profile_prev);
-                for (layer, stat) in delta.iter() {
-                    trace::event(
-                        "profile.layer",
-                        vec![
-                            ("iteration", iteration.into()),
-                            ("layer", layer.as_str().into()),
-                            ("self_s", stat.self_s.into()),
-                            ("cum_self_s", snap.get(layer).self_s.into()),
-                            ("bytes", stat.bytes.into()),
-                            ("ops", stat.ops.into()),
-                        ],
-                    );
-                }
-                profile_prev = snap;
-            }
-
-            subsets.feedback(&subset, best_perf);
-            if stopper.should_stop(iteration, best_perf) {
-                stopped_early = iteration < self.cfg.max_iterations;
-                observer.on_generation(&GenerationSnapshot {
-                    iteration,
-                    record: records.last().expect("record pushed this generation"),
-                    population: &population,
-                    rng_state: self.rng.state(),
-                    best_perf,
-                    best_config: &best_config,
-                    stopped: true,
-                    strategy_state: None,
-                    charged: None,
-                });
-                break;
-            }
-
-            // Breed the next generation: elitism + tournament offspring.
-            scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-            let mut next: Vec<Configuration> = scored
-                .iter()
-                .take(self.cfg.elite.min(scored.len()))
-                .map(|(_, c)| c.clone())
-                .collect();
-            let elite_n = next.len();
-            while next.len() < pop_size {
-                let (p1, p2) = self.tournament_parents(&scored);
-                let mut child = match self.cfg.crossover {
-                    Crossover::Uniform => p1.crossover_masked(p2, &subset, &mut self.rng),
-                    Crossover::OnePoint => {
-                        let cut = self.rng.gen_range(0..=subset.len());
-                        let mut c = p1.clone();
-                        for &p in &subset[cut..] {
-                            c.set_gene(p, p2.gene(p));
-                        }
-                        c
-                    }
-                };
-                child.mutate_masked(&space, &subset, self.cfg.mutation_rate, &mut self.rng);
-                next.push(child);
-            }
-            trace::counter("tunio.ga.offspring").inc((pop_size - elite_n) as u64);
-            trace::event(
-                "ga.breed",
-                vec![
-                    ("iteration", iteration.into()),
-                    ("elite", elite_n.into()),
-                    ("offspring", (pop_size - elite_n).into()),
-                    ("tournament", self.cfg.tournament.into()),
-                    ("mutation_rate", self.cfg.mutation_rate.into()),
-                ],
-            );
-            observer.on_generation(&GenerationSnapshot {
-                iteration,
-                record: records.last().expect("record pushed this generation"),
-                population: &population,
-                rng_state: self.rng.state(),
-                best_perf,
-                best_config: &best_config,
-                stopped: iteration == self.cfg.max_iterations,
-                strategy_state: None,
-                charged: None,
-            });
-            population = next;
-        }
-
-        campaign_span.add_field("best_perf", best_perf.into());
-        campaign_span.add_field("stopped_early", stopped_early.into());
-        drop(campaign_span);
-
-        TuningTrace {
-            records,
-            best_config,
-            best_perf,
-            default_perf,
-            stopped_early,
-            stopper_name: stopper.name().to_string(),
-        }
-    }
-
-    /// Tournament selection: draw `tournament` individuals at random, the
-    /// best two become the parents (§III-A).
-    fn tournament_parents<'a>(
-        &mut self,
-        scored: &'a [(f64, Configuration)],
-    ) -> (&'a Configuration, &'a Configuration) {
-        let k = self.cfg.tournament.max(2).min(scored.len());
-        trace::counter("tunio.ga.tournaments").inc(1);
-        let mut picks: Vec<&(f64, Configuration)> = (0..k)
-            .map(|_| &scored[self.rng.gen_range(0..scored.len())])
-            .collect();
-        picks.sort_by(|a, b| b.0.total_cmp(&a.0));
-        (&picks[0].1, &picks[1].1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stoppers::{HeuristicStop, NoStop};
-    use crate::subset::{AllParams, FixedSubset};
+    use crate::engine::EvalEngine;
+    use crate::scheduler::run_strategy;
+    use crate::stoppers::{HeuristicStop, NoStop, Stopper};
+    use crate::strategy::GaStrategy;
+    use crate::subset::{AllParams, FixedSubset, SubsetProvider};
     use tunio_iosim::Simulator;
     use tunio_params::{Impact, ParameterSpace};
     use tunio_workloads::{hacc, Variant, Workload};
@@ -476,10 +208,39 @@ mod tests {
         }
     }
 
+    /// One GA campaign through the scheduler, one window per generation.
+    fn run_ga_observed(
+        engine: &EvalEngine,
+        cfg: GaConfig,
+        stopper: &mut dyn Stopper,
+        subsets: &mut dyn SubsetProvider,
+        observer: &mut dyn CampaignObserver,
+    ) -> TuningTrace {
+        let strategy = Box::new(GaStrategy::new(cfg, engine.space.clone()));
+        run_strategy(
+            engine,
+            strategy,
+            stopper,
+            subsets,
+            cfg.population,
+            2,
+            observer,
+        )
+        .trace
+    }
+
+    fn run_ga(
+        engine: &EvalEngine,
+        cfg: GaConfig,
+        stopper: &mut dyn Stopper,
+        subsets: &mut dyn SubsetProvider,
+    ) -> TuningTrace {
+        run_ga_observed(engine, cfg, stopper, subsets, &mut NoObserver)
+    }
+
     #[test]
     fn tuning_improves_over_default() {
-        let mut tuner = GaTuner::new(quick_cfg(1, 25));
-        let trace = tuner.run(&engine(1), &mut NoStop, &mut AllParams);
+        let trace = run_ga(&engine(1), quick_cfg(1, 25), &mut NoStop, &mut AllParams);
         assert!(
             trace.best_perf > 1.5 * trace.default_perf,
             "best {} vs default {}",
@@ -490,8 +251,7 @@ mod tests {
 
     #[test]
     fn best_so_far_is_monotone_elitism() {
-        let mut tuner = GaTuner::new(quick_cfg(2, 20));
-        let trace = tuner.run(&engine(2), &mut NoStop, &mut AllParams);
+        let trace = run_ga(&engine(2), quick_cfg(2, 20), &mut NoStop, &mut AllParams);
         for w in trace.records.windows(2) {
             assert!(
                 w[1].best_perf >= w[0].best_perf,
@@ -502,8 +262,7 @@ mod tests {
 
     #[test]
     fn costs_accumulate_and_are_positive() {
-        let mut tuner = GaTuner::new(quick_cfg(3, 10));
-        let trace = tuner.run(&engine(3), &mut NoStop, &mut AllParams);
+        let trace = run_ga(&engine(3), quick_cfg(3, 10), &mut NoStop, &mut AllParams);
         assert!(trace.total_cost_s() > 0.0);
         for w in trace.records.windows(2) {
             assert!(w[1].cumulative_cost_s >= w[0].cumulative_cost_s);
@@ -514,9 +273,9 @@ mod tests {
 
     #[test]
     fn heuristic_stop_ends_before_budget_on_plateau() {
-        let mut tuner = GaTuner::new(quick_cfg(4, 50));
-        let trace = tuner.run(
+        let trace = run_ga(
             &engine(4),
+            quick_cfg(4, 50),
             &mut HeuristicStop::paper_default(),
             &mut AllParams,
         );
@@ -530,11 +289,13 @@ mod tests {
         let space = ParameterSpace::tunio_default();
         let high = space.with_impact(Impact::High);
 
-        let mut full_tuner = GaTuner::new(quick_cfg(5, 30));
-        let full = full_tuner.run(&engine(5), &mut NoStop, &mut AllParams);
-
-        let mut sub_tuner = GaTuner::new(quick_cfg(5, 30));
-        let sub = sub_tuner.run(&engine(5), &mut NoStop, &mut FixedSubset { subset: high });
+        let full = run_ga(&engine(5), quick_cfg(5, 30), &mut NoStop, &mut AllParams);
+        let sub = run_ga(
+            &engine(5),
+            quick_cfg(5, 30),
+            &mut NoStop,
+            &mut FixedSubset { subset: high },
+        );
 
         // The high-impact subset achieves ≥85% of the full-space perf.
         assert!(
@@ -548,17 +309,17 @@ mod tests {
     #[test]
     fn low_impact_subset_cannot_match_high_impact() {
         let space = ParameterSpace::tunio_default();
-        let mut low_tuner = GaTuner::new(quick_cfg(6, 20));
-        let low = low_tuner.run(
+        let low = run_ga(
             &engine(6),
+            quick_cfg(6, 20),
             &mut NoStop,
             &mut FixedSubset {
                 subset: space.with_impact(Impact::Low),
             },
         );
-        let mut high_tuner = GaTuner::new(quick_cfg(6, 20));
-        let high = high_tuner.run(
+        let high = run_ga(
             &engine(6),
+            quick_cfg(6, 20),
             &mut NoStop,
             &mut FixedSubset {
                 subset: space.with_impact(Impact::High),
@@ -574,17 +335,13 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let run = || {
-            let mut tuner = GaTuner::new(quick_cfg(7, 8));
-            tuner.run(&engine(7), &mut NoStop, &mut AllParams).best_perf
-        };
+        let run = || run_ga(&engine(7), quick_cfg(7, 8), &mut NoStop, &mut AllParams).best_perf;
         assert_eq!(run(), run());
     }
 
     #[test]
     fn trace_metrics_are_consistent() {
-        let mut tuner = GaTuner::new(quick_cfg(8, 5));
-        let trace = tuner.run(&engine(8), &mut NoStop, &mut AllParams);
+        let trace = run_ga(&engine(8), quick_cfg(8, 5), &mut NoStop, &mut AllParams);
         assert_eq!(trace.iterations(), 5);
         assert!(trace.gain() >= 0.0);
         assert!((trace.total_cost_min() - trace.total_cost_s() / 60.0).abs() < 1e-9);
@@ -612,13 +369,19 @@ mod tests {
             states: Vec::new(),
             stops: Vec::new(),
         };
-        let mut tuner = GaTuner::new(quick_cfg(9, 6));
-        let trace = tuner.run_with_observer(&engine(9), &mut NoStop, &mut AllParams, &mut rec);
+        let trace = run_ga_observed(
+            &engine(9),
+            quick_cfg(9, 6),
+            &mut NoStop,
+            &mut AllParams,
+            &mut rec,
+        );
         assert_eq!(rec.iterations, vec![1, 2, 3, 4, 5, 6]);
         assert_eq!(rec.stops, vec![false, false, false, false, false, true]);
-        // The RNG advances between generations (breeding consumes draws),
-        // so consecutive snapshots must differ.
-        for w in rec.states.windows(2) {
+        // Breeding the next generation consumes draws, so consecutive
+        // snapshots differ up to the last generation, which retires the
+        // GA without breeding.
+        for w in rec.states[..5].windows(2) {
             assert_ne!(w[0], w[1], "rng state must advance every generation");
         }
         assert_eq!(trace.iterations(), 6);
@@ -642,8 +405,7 @@ mod tests {
             max_retries: 4,
             ..FailurePolicy::default()
         });
-        let mut tuner = GaTuner::new(quick_cfg(11, 12));
-        let trace = tuner.run(&engine, &mut NoStop, &mut AllParams);
+        let trace = run_ga(&engine, quick_cfg(11, 12), &mut NoStop, &mut AllParams);
 
         assert!(trace.best_perf.is_finite(), "NaN/Inf must never win");
         assert!(
@@ -675,62 +437,17 @@ mod tests {
             ParameterSpace::tunio_default(),
             3,
         );
-        let mut tuner = GaTuner::new(quick_cfg(13, 8));
-        let trace = tuner.run(&engine, &mut NoStop, &mut AllParams);
+        let trace = run_ga(&engine, quick_cfg(13, 8), &mut NoStop, &mut AllParams);
         assert!(trace.best_perf.is_finite());
         assert!(trace.default_perf.is_finite());
         assert!(trace.records.iter().all(|r| r.best_perf.is_finite()
             && r.generation_best_perf.is_finite()
             && r.cumulative_cost_s.is_finite()));
     }
-}
-
-impl TuningTrace {
-    /// Export the per-iteration series as CSV (header + one row per
-    /// generation) for external plotting.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "iteration,best_perf_bytes_per_s,generation_best_bytes_per_s,cost_s,cumulative_cost_s,subset_size\n",
-        );
-        for r in &self.records {
-            out.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                r.iteration,
-                r.best_perf,
-                r.generation_best_perf,
-                r.cost_s,
-                r.cumulative_cost_s,
-                r.subset_size
-            ));
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod csv_tests {
-    use super::*;
-    use crate::engine::EvalEngine;
-    use crate::stoppers::NoStop;
-    use crate::subset::AllParams;
-    use tunio_iosim::Simulator;
-    use tunio_params::ParameterSpace;
-    use tunio_workloads::{hacc, Variant, Workload};
 
     #[test]
     fn csv_has_header_plus_one_row_per_iteration() {
-        let engine = EvalEngine::new(
-            Simulator::cori_4node(1),
-            Workload::new(hacc(), Variant::Kernel),
-            ParameterSpace::tunio_default(),
-            3,
-        );
-        let mut tuner = GaTuner::new(GaConfig {
-            max_iterations: 4,
-            seed: 1,
-            ..GaConfig::default()
-        });
-        let trace = tuner.run(&engine, &mut NoStop, &mut AllParams);
+        let trace = run_ga(&engine(1), quick_cfg(1, 4), &mut NoStop, &mut AllParams);
         let csv = trace.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 5);
@@ -739,33 +456,14 @@ mod csv_tests {
         // Each row has 6 comma-separated fields.
         assert!(lines.iter().all(|l| l.split(',').count() == 6));
     }
-}
-
-#[cfg(test)]
-mod crossover_tests {
-    use super::*;
-    use crate::engine::EvalEngine;
-    use crate::stoppers::NoStop;
-    use crate::subset::AllParams;
-    use tunio_iosim::Simulator;
-    use tunio_params::ParameterSpace;
-    use tunio_workloads::{hacc, Variant, Workload};
 
     #[test]
     fn one_point_crossover_also_tunes() {
-        let engine = EvalEngine::new(
-            Simulator::cori_4node(6),
-            Workload::new(hacc(), Variant::Kernel),
-            ParameterSpace::tunio_default(),
-            3,
-        );
-        let mut tuner = GaTuner::new(GaConfig {
+        let cfg = GaConfig {
             crossover: Crossover::OnePoint,
-            max_iterations: 15,
-            seed: 6,
-            ..GaConfig::default()
-        });
-        let trace = tuner.run(&engine, &mut NoStop, &mut AllParams);
+            ..quick_cfg(6, 15)
+        };
+        let trace = run_ga(&engine(6), cfg, &mut NoStop, &mut AllParams);
         assert!(trace.best_perf > 1.5 * trace.default_perf);
     }
 }

@@ -18,13 +18,15 @@
 //!
 //! [`engine::EvalEngine`] runs configurations on the simulated I/O stack
 //! (averaging three runs, charging only one run's time to the tuning
-//! budget, exactly as §IV's methodology describes), memoizes repeat
-//! evaluations behind a sharded cache, and evaluates a generation's
-//! cache misses in parallel while staying bitwise-deterministic (see the
-//! module docs for the determinism argument). [`ga::GaTuner::run`]
-//! produces a [`ga::TuningTrace`] — the per-iteration best-perf /
-//! cumulative-cost series every figure in the paper's evaluation is
-//! drawn from.
+//! budget, exactly as §IV's methodology describes) and memoizes repeat
+//! evaluations behind a sharded cache. Every campaign — the GA
+//! ([`strategy::GaStrategy`]) and the random, Latin-hypercube and
+//! Bayesian backends alike — runs through one driver,
+//! [`scheduler::run_strategy`], which evaluates on parallel slots while
+//! staying bitwise-deterministic (see the module docs for the
+//! determinism argument) and produces a [`ga::TuningTrace`]: the
+//! per-iteration best-perf / cumulative-cost series every figure in the
+//! paper's evaluation is drawn from.
 
 #![warn(missing_docs)]
 
@@ -43,14 +45,14 @@ pub use engine::{
     CacheEntry, EvalCounters, EvalEngine, Evaluation, FailurePolicy, ResilienceCounters,
 };
 pub use ga::{
-    CampaignObserver, Crossover, GaConfig, GaTuner, GenerationSnapshot, IterationRecord,
-    NoObserver, TuningTrace,
+    CampaignObserver, Crossover, GaConfig, GenerationSnapshot, IterationRecord, NoObserver,
+    TuningTrace,
 };
 pub use racing::{Moments, RaceDiscard, RaceOutcome, RacingConfig, RacingCounters};
 pub use scheduler::{
     run_strategy, run_strategy_opts, Hooks, Job, Scheduler, SchedulerStats, StrategyRun,
 };
-pub use search::{HillClimb, RandomSearch};
+pub use search::HillClimb;
 pub use stoppers::{BudgetStop, HeuristicStop, MaxPerfStop, NoStop, Stopper};
 pub use strategy::{sanitize, GaStrategy, LhsStrategy, RandomStrategy, SearchStrategy};
 pub use subset::{AllParams, SubsetProvider};

@@ -1,111 +1,26 @@
-//! Alternative search strategies.
+//! Hill climbing, the one search baseline outside the strategy trait.
 //!
 //! §II-B: "The search algorithms employed in user-level tuning have
 //! usually been AI techniques such as genetic algorithms, random search,
 //! hill climbing algorithms, and, more recently, reinforcement learning."
-//! The GA is the pipeline the paper builds on; these baselines make the
-//! comparison reproducible and share the same trace format, stoppers and
-//! subset hooks so TunIO's components attach to them unchanged.
+//! The GA and random search run as [`crate::strategy::SearchStrategy`]
+//! backends; the steepest-ascent climber below keeps its own loop (it
+//! has no asynchronous formulation) but shares the trace format,
+//! stoppers and subset hooks so TunIO's components attach to it
+//! unchanged.
 
 use crate::engine::EvalEngine;
 use crate::ga::{IterationRecord, TuningTrace};
+use crate::scheduler::nonempty;
 use crate::stoppers::Stopper;
 use crate::subset::SubsetProvider;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tunio_params::{Configuration, ParamId};
+use tunio_params::Configuration;
 
 /// How many configurations a non-population search evaluates per
 /// "iteration" so budgets are comparable with a GA generation.
 const EVALS_PER_ITERATION: usize = 8;
-
-/// Pure random search: sample configurations uniformly within the active
-/// subset (other genes stay at their current best values).
-#[derive(Debug)]
-pub struct RandomSearch {
-    /// Iteration budget.
-    pub max_iterations: u32,
-    rng: StdRng,
-}
-
-impl RandomSearch {
-    /// Create a random search with a seed.
-    pub fn new(max_iterations: u32, seed: u64) -> Self {
-        RandomSearch {
-            max_iterations,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Run the search.
-    ///
-    /// The iteration's candidates all derive from the best configuration
-    /// *at the start of the iteration* (a synchronous population, like a
-    /// GA generation) so they can be evaluated as one parallel batch;
-    /// the serial version chained candidates off a mid-iteration best.
-    /// With a subset covering all parameters the two are identical, since
-    /// every gene is redrawn anyway.
-    pub fn run(
-        &mut self,
-        engine: &EvalEngine,
-        stopper: &mut dyn Stopper,
-        subsets: &mut dyn SubsetProvider,
-    ) -> TuningTrace {
-        let space = engine.space.clone();
-        let default_perf = engine.evaluate(&space.default_config()).perf;
-        let mut best_config = space.default_config();
-        let mut best_perf = default_perf;
-        let mut cumulative = 0.0;
-        let mut records = Vec::new();
-        let mut stopped_early = false;
-
-        for iteration in 1..=self.max_iterations {
-            let subset = nonempty(subsets.next_subset(iteration, best_perf, &space));
-            let mut gen_cost = 0.0;
-            let mut gen_best = f64::NEG_INFINITY;
-            let candidates: Vec<Configuration> = (0..EVALS_PER_ITERATION)
-                .map(|_| {
-                    let mut candidate = best_config.clone();
-                    for &p in &subset {
-                        candidate.set_gene(p, space.random_value(p, &mut self.rng));
-                    }
-                    candidate
-                })
-                .collect();
-            for e in engine.evaluate_batch(&candidates) {
-                gen_cost += e.cost_s;
-                gen_best = gen_best.max(e.perf);
-                if e.perf > best_perf {
-                    best_perf = e.perf;
-                    best_config = e.config;
-                }
-            }
-            cumulative += gen_cost;
-            records.push(IterationRecord {
-                iteration,
-                best_perf,
-                generation_best_perf: gen_best,
-                cost_s: gen_cost,
-                cumulative_cost_s: cumulative,
-                subset_size: subset.len(),
-            });
-            subsets.feedback(&subset, best_perf);
-            if stopper.should_stop(iteration, best_perf) {
-                stopped_early = iteration < self.max_iterations;
-                break;
-            }
-        }
-
-        TuningTrace {
-            records,
-            best_config,
-            best_perf,
-            default_perf,
-            stopped_early,
-            stopper_name: stopper.name().to_string(),
-        }
-    }
-}
 
 /// Steepest-ascent-with-restarts hill climbing: from the current best,
 /// evaluate single-gene neighbours (one step up/down per parameter in the
@@ -233,14 +148,6 @@ impl HillClimb {
     }
 }
 
-fn nonempty(subset: Vec<ParamId>) -> Vec<ParamId> {
-    if subset.is_empty() {
-        ParamId::ALL.to_vec()
-    } else {
-        subset
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,14 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn random_search_improves_over_default() {
-        let mut rs = RandomSearch::new(20, 3);
-        let trace = rs.run(&engine(3), &mut NoStop, &mut AllParams);
-        assert!(trace.best_perf > trace.default_perf);
-        assert_eq!(trace.iterations(), 20);
-    }
-
-    #[test]
     fn hill_climb_improves_over_default() {
         let mut hc = HillClimb::new(25, 4);
         let trace = hc.run(&engine(4), &mut NoStop, &mut AllParams);
@@ -275,22 +174,18 @@ mod tests {
     }
 
     #[test]
-    fn best_so_far_is_monotone_for_both() {
-        let mut rs = RandomSearch::new(15, 5);
-        let a = rs.run(&engine(5), &mut NoStop, &mut AllParams);
+    fn best_so_far_is_monotone() {
         let mut hc = HillClimb::new(15, 5);
-        let b = hc.run(&engine(5), &mut NoStop, &mut AllParams);
-        for trace in [a, b] {
-            for w in trace.records.windows(2) {
-                assert!(w[1].best_perf >= w[0].best_perf);
-            }
+        let trace = hc.run(&engine(5), &mut NoStop, &mut AllParams);
+        for w in trace.records.windows(2) {
+            assert!(w[1].best_perf >= w[0].best_perf);
         }
     }
 
     #[test]
-    fn stoppers_attach_to_baselines() {
-        let mut rs = RandomSearch::new(50, 6);
-        let trace = rs.run(
+    fn stoppers_attach_to_the_climber() {
+        let mut hc = HillClimb::new(50, 6);
+        let trace = hc.run(
             &engine(6),
             &mut HeuristicStop::paper_default(),
             &mut AllParams,
@@ -300,10 +195,10 @@ mod tests {
     }
 
     #[test]
-    fn searches_are_deterministic() {
+    fn search_is_deterministic() {
         let run = |seed| {
-            let mut rs = RandomSearch::new(8, seed);
-            rs.run(&engine(seed), &mut NoStop, &mut AllParams).best_perf
+            let mut hc = HillClimb::new(8, seed);
+            hc.run(&engine(seed), &mut NoStop, &mut AllParams).best_perf
         };
         assert_eq!(run(9), run(9));
     }

@@ -155,11 +155,12 @@ struct GaState {
 
 /// The paper's genetic algorithm behind the [`SearchStrategy`] contract.
 ///
-/// Ported gene-for-gene from [`crate::ga::GaTuner`]: same initial
-/// population (default + 0.12-rate partial mutants), same tournament
-/// selection (best two of `tournament` draws), same elitism and masked
-/// crossover/mutation — driven with observations in proposal order it
-/// reproduces the `GaTuner` RNG stream exactly. It is *generation
+/// Initial population: the default configuration plus 0.12-rate partial
+/// mutants within the first active subset. Each later generation keeps
+/// the `elite` best and fills up with masked crossover + mutation of
+/// tournament parents (best two of `tournament` draws). The committed
+/// golden `crates/bench/tests/golden/ga_reference.json` pins its
+/// trajectory to the generation-loop GA it replaced. It is *generation
 /// synchronous*: `propose` returns nothing while any individual of the
 /// current generation is unevaluated, which is precisely the barrier
 /// the asynchronous backends exist to remove.

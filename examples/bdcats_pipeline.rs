@@ -1,24 +1,28 @@
-//! End-to-end scenario: the Table-I API driven by a hand-written tuning
-//! loop on BD-CATS at 500 nodes — the way a downstream pipeline (e.g. a
-//! DEAP-style GA) would consume TunIO's three components directly.
+//! End-to-end scenario: the Table-I API driving a GA campaign on BD-CATS
+//! at 500 nodes — the way a downstream pipeline (e.g. a DEAP-style GA)
+//! would consume TunIO's components directly: `subset_picker` chooses
+//! each generation's parameters and `stop` ends the campaign.
 //!
 //! ```text
 //! cargo run -p tunio-examples --bin bdcats_pipeline --release
 //! ```
 
+use std::cell::RefCell;
 use tunio::api::StopDecision;
 use tunio::TunIo;
 use tunio_iosim::Simulator;
 use tunio_params::{ParamId, ParameterSpace};
 use tunio_rl::replay::Transition;
-use tunio_tuner::{EvalEngine, GaConfig, GaTuner, NoStop, SubsetProvider};
+use tunio_tuner::{
+    run_strategy, EvalEngine, GaConfig, GaStrategy, NoObserver, Stopper, SubsetProvider,
+};
 use tunio_workloads::{bdcats, Variant, Workload};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 
 /// Adapter: drive the GA's subset hook through the public Table-I API.
 struct ApiSubsets<'a> {
-    tunio: &'a mut TunIo,
+    tunio: &'a RefCell<TunIo>,
     current: Vec<ParamId>,
 }
 
@@ -30,7 +34,10 @@ impl SubsetProvider for ApiSubsets<'_> {
         _space: &ParameterSpace,
     ) -> Vec<ParamId> {
         // Table I: subset_picker(perf, current_parameter_set) → next set.
-        self.current = self.tunio.subset_picker(best_perf, &self.current);
+        self.current = self
+            .tunio
+            .borrow_mut()
+            .subset_picker(best_perf, &self.current);
         self.current.clone()
     }
 
@@ -43,16 +50,36 @@ impl SubsetProvider for ApiSubsets<'_> {
     }
 }
 
+/// Adapter: drive the GA's termination hook through the Table-I `stop`.
+struct ApiStop<'a> {
+    tunio: &'a RefCell<TunIo>,
+}
+
+impl Stopper for ApiStop<'_> {
+    fn should_stop(&mut self, iteration: u32, best_perf: f64) -> bool {
+        let decision = self.tunio.borrow_mut().stop(iteration, best_perf);
+        println!(
+            "generation {iteration:>2}: best {:.2} GiB/s → {decision:?}",
+            best_perf / GIB
+        );
+        decision == StopDecision::Stop
+    }
+
+    fn name(&self) -> &str {
+        "table-i-api"
+    }
+}
+
 fn main() {
     let space = ParameterSpace::tunio_default();
     let sim = Simulator::cori_500node(3);
     let cluster = sim.cluster;
 
     println!("pre-training TunIO agents (offline sweep + PCA + log-curve RL)…");
-    let mut tunio = TunIo::pretrained(&space, cluster, 50, 3);
+    let tunio = RefCell::new(TunIo::pretrained(&space, cluster, 50, 3));
     println!(
         "impact ranking: {:?}\n",
-        tunio.smart_config.analysis.ranking
+        tunio.borrow().smart_config.analysis.ranking
     );
 
     let engine = EvalEngine::new(
@@ -61,46 +88,36 @@ fn main() {
         space.clone(),
         3,
     );
-    let mut tuner = GaTuner::new(GaConfig {
-        max_iterations: 1, // we drive the loop ourselves, one generation at a time
+    let cfg = GaConfig {
+        max_iterations: 50,
         seed: 3,
         ..GaConfig::default()
-    });
-
-    // Hand-rolled tuning loop using the Table-I `stop` API as the
-    // termination condition. Each "round" runs one GA generation.
-    let mut best = 0.0f64;
-    let mut round = 0;
-    loop {
-        round += 1;
-        let mut subsets = ApiSubsets {
-            tunio: &mut tunio,
+    };
+    let run = run_strategy(
+        &engine,
+        Box::new(GaStrategy::new(cfg, space)),
+        &mut ApiStop { tunio: &tunio },
+        &mut ApiSubsets {
+            tunio: &tunio,
             current: ParamId::ALL.to_vec(),
-        };
-        // Run a single generation (GaTuner with max_iterations = 1
-        // resumes from scratch; for the demo we track the best ourselves).
-        let trace = tuner.run(&engine, &mut NoStop, &mut subsets);
-        best = best.max(trace.best_perf);
-        println!(
-            "round {:>2}: best {:.2} GiB/s (subset size {})",
-            round,
-            best / GIB,
-            trace.records.last().map(|r| r.subset_size).unwrap_or(0)
-        );
-
-        match tunio.stop(round, best) {
-            StopDecision::Stop => {
-                println!("\nTable-I stop() says: stop after round {round}");
-                break;
-            }
-            StopDecision::Continue if round >= 50 => {
-                println!("\nbudget exhausted");
-                break;
-            }
-            StopDecision::Continue => {}
-        }
-    }
-    println!("final best perf: {:.2} GiB/s", best / GIB);
+        },
+        cfg.population,
+        2,
+        &mut NoObserver,
+    );
+    let trace = run.trace;
+    println!(
+        "\n{} after {} generations: {:.2} → {:.2} GiB/s (subset size {})",
+        if trace.stopped_early {
+            "Table-I stop() ended the campaign"
+        } else {
+            "budget exhausted"
+        },
+        trace.iterations(),
+        trace.default_perf / GIB,
+        trace.best_perf / GIB,
+        trace.records.last().map(|r| r.subset_size).unwrap_or(0)
+    );
 
     // The early-stop agent also keeps learning online; demonstrate the
     // replay type is exposed for custom integrations.
