@@ -398,6 +398,7 @@ fn main() -> ExitCode {
         noise_profile: args.noise_profile,
         noise_seed: args.noise_seed,
         racing: args.racing.then(tunio_tuner::RacingConfig::default),
+        pretrain_cache: None,
     };
     if args.resume && args.checkpoint.is_none() {
         eprintln!("error: --resume needs --checkpoint");

@@ -22,7 +22,10 @@ const CONTINUE: usize = 0;
 const STOP: usize = 1;
 
 /// The Early Stopping agent. Implements [`tunio_tuner::Stopper`].
-#[derive(Debug)]
+///
+/// Cloning is cheap: the replay buffer is copy-on-write, so a clone of a
+/// pretrained agent shares its experience until one side learns more.
+#[derive(Debug, Clone)]
 pub struct EarlyStopAgent {
     agent: QAgent,
     /// Best-perf history of the campaign being supervised.

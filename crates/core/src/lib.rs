@@ -47,6 +47,7 @@ pub mod checkpoint;
 pub mod early_stop;
 pub mod perf;
 pub mod pipeline;
+pub mod pretrain;
 pub mod roti;
 pub mod session;
 pub mod smart_config;
@@ -54,6 +55,7 @@ pub mod viability;
 
 pub use api::TunIo;
 pub use early_stop::EarlyStopAgent;
+pub use pretrain::PretrainCache;
 pub use roti::{roti_curve, RotiPoint};
 pub use session::TuningSession;
 pub use smart_config::SmartConfigAgent;

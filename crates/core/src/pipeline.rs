@@ -11,11 +11,13 @@ use crate::checkpoint::{
     CHECKPOINT_VERSION,
 };
 use crate::early_stop::EarlyStopAgent;
+use crate::pretrain::PretrainCache;
 use crate::smart_config::{warm_seed_configs, SmartConfigAgent};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use tunio_iosim::{ClusterSpec, FaultPlan, InterferenceModel, NoiseProfile, Simulator};
 use tunio_params::ParameterSpace;
 use tunio_trace as trace;
@@ -249,6 +251,12 @@ pub struct CampaignOptions {
     /// WAL, so kill/resume stays bitwise — but like the noise flags, a
     /// resumed campaign must pass the same racing policy.
     pub racing: Option<RacingConfig>,
+    /// Draw the TunIO agents from this shared cache instead of
+    /// pretraining them for this campaign alone (see
+    /// [`crate::pretrain`]). A cached agent is a clone of what the
+    /// pretraining would return, so the outcome is identical; only the
+    /// wall time changes. `None` pretrains in place.
+    pub pretrain_cache: Option<Arc<PretrainCache>>,
 }
 
 /// Attach the options' interference model (if any) to a fresh simulator
@@ -462,7 +470,9 @@ struct Agents<'a> {
 }
 
 /// The stopper and subset provider a [`PipelineKind`] tunes with. The
-/// TunIO agents are pretrained here, inside the campaign span.
+/// TunIO agents are pretrained here, inside the campaign span, each in a
+/// `pretrain` span saying which agent and whether the options' cache
+/// served it (`cache=hit|miss`, or `none` without a cache).
 fn pipeline_agents(
     spec: &CampaignSpec,
     opts: &CampaignOptions,
@@ -470,15 +480,39 @@ fn pipeline_agents(
     cluster: ClusterSpec,
 ) -> (Box<dyn Stopper>, Box<dyn SubsetProvider>) {
     let subsets: Box<dyn SubsetProvider> = match spec.kind {
-        PipelineKind::TunIo | PipelineKind::ImpactFirstOnly => Box::new(match &opts.warm_start {
-            Some(features) => SmartConfigAgent::from_features(features, space, cluster, spec.seed),
-            None => SmartConfigAgent::pretrained(space, cluster, spec.seed),
-        }),
+        PipelineKind::TunIo | PipelineKind::ImpactFirstOnly => {
+            let mut span = trace::span("pretrain", vec![("agent", "subsets".into())]);
+            let train = || SmartConfigAgent::pretrained(space, cluster, spec.seed);
+            let (agent, cache) = match (&opts.warm_start, &opts.pretrain_cache) {
+                (Some(features), _) => (
+                    SmartConfigAgent::from_features(features, space, cluster, spec.seed),
+                    "none",
+                ),
+                (None, Some(cache)) => {
+                    let (agent, lookup) = cache.subset_agent(spec.seed, spec.large_scale, train);
+                    (agent, lookup.label())
+                }
+                (None, None) => (train(), "none"),
+            };
+            span.add_field("cache", cache.into());
+            Box::new(agent)
+        }
         _ => Box::new(AllParams),
     };
     let stopper: Box<dyn Stopper> = match spec.kind {
         PipelineKind::TunIo | PipelineKind::RlStopOnly => {
-            let mut agent = EarlyStopAgent::pretrained(spec.max_iterations, spec.seed);
+            let mut span = trace::span("pretrain", vec![("agent", "stop".into())]);
+            let (mut agent, cache) = match &opts.pretrain_cache {
+                Some(cache) => {
+                    let (agent, lookup) = cache.stop_agent(spec.max_iterations, spec.seed);
+                    (agent, lookup.label())
+                }
+                None => (
+                    EarlyStopAgent::pretrained(spec.max_iterations, spec.seed),
+                    "none",
+                ),
+            };
+            span.add_field("cache", cache.into());
             agent.begin_campaign();
             Box::new(agent)
         }

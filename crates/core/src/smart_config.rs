@@ -301,8 +301,9 @@ pub fn warm_seed_configs(
 
 /// The Smart Configuration Generation agent. Implements
 /// [`tunio_tuner::SubsetProvider`], so it plugs directly into the GA
-/// pipeline's configuration-generation phase.
-#[derive(Debug)]
+/// pipeline's configuration-generation phase. Cloning is cheap (the
+/// picker's replay buffer is copy-on-write).
+#[derive(Debug, Clone)]
 pub struct SmartConfigAgent {
     /// Offline impact analysis (ranking refreshed online).
     pub analysis: ImpactAnalysis,

@@ -170,65 +170,70 @@ impl Network {
     /// One backprop step on a single example; returns the MSE loss before
     /// the update.
     pub fn train_step(&mut self, x: &[f64], target: &[f64]) -> f64 {
-        // Forward pass, caching activations.
-        let mut activations: Vec<Vec<f64>> = vec![x.to_vec()];
+        self.step(x, |out| {
+            debug_assert_eq!(out.len(), target.len());
+            out.copy_from_slice(target);
+        })
+    }
+
+    /// One temporal-difference step: move output `action` toward `value`
+    /// and leave every other output where it is. Equivalent to
+    /// `train_step(x, &t)` with `t = forward(x)` and `t[action] = value`,
+    /// bit for bit, but runs the forward pass on `x` once instead of
+    /// twice. Returns the MSE loss before the update.
+    pub fn td_update(&mut self, x: &[f64], action: usize, value: f64) -> f64 {
+        self.step(x, |out| out[action] = value)
+    }
+
+    /// The fused training kernel behind [`Self::train_step`] and
+    /// [`Self::td_update`]: a forward pass that caches activations, a
+    /// target built from the output by `set_target`, then one backward
+    /// sweep that computes each gradient and applies the optimizer to it
+    /// in place. Adam's bias corrections are computed once per step.
+    fn step(&mut self, x: &[f64], set_target: impl FnOnce(&mut [f64])) -> f64 {
+        let mut activations: Vec<Vec<f64>> = Vec::with_capacity(self.layers.len() + 1);
+        activations.push(x.to_vec());
         for layer in &self.layers {
             let next = layer.forward(activations.last().unwrap());
             activations.push(next);
         }
         let output = activations.last().unwrap();
-        debug_assert_eq!(output.len(), target.len());
+        let mut target = output.clone();
+        set_target(&mut target);
+        let n = output.len() as f64;
         let loss: f64 = output
             .iter()
-            .zip(target)
+            .zip(&target)
             .map(|(o, t)| (o - t).powi(2))
             .sum::<f64>()
-            / output.len() as f64;
+            / n;
 
         // Backward pass: delta = dL/d(pre-activation).
         let mut delta: Vec<f64> = output
             .iter()
-            .zip(target)
-            .map(|(o, t)| 2.0 * (o - t) / output.len() as f64)
+            .zip(&target)
+            .map(|(o, t)| 2.0 * (o - t) / n)
             .collect();
         self.t += 1;
-        for li in (0..self.layers.len()).rev() {
-            let input = activations[li].clone();
-            let out = activations[li + 1].clone();
-            let (d_prev, grads_w, grads_b) = {
-                let layer = &self.layers[li];
-                let mut grads_w = vec![0.0; layer.w.len()];
-                let mut grads_b = vec![0.0; layer.outputs];
-                let mut d_prev = vec![0.0; layer.inputs];
-                for o in 0..layer.outputs {
-                    let d = delta[o] * layer.act.derivative_from_output(out[o]);
-                    grads_b[o] = d;
-                    for i in 0..layer.inputs {
-                        grads_w[o * layer.inputs + i] = d * input[i];
-                        d_prev[i] += d * layer.w[o * layer.inputs + i];
-                    }
+        let update = Update::new(self.optimizer, self.t);
+        for (li, layer) in self.layers.iter_mut().enumerate().rev() {
+            let (input, out) = (&activations[li], &activations[li + 1]);
+            let mut d_prev = vec![0.0; layer.inputs];
+            for o in 0..layer.outputs {
+                let d = delta[o] * layer.act.derivative_from_output(out[o]);
+                let row = o * layer.inputs..(o + 1) * layer.inputs;
+                let (w, m_w, v_w) = (
+                    &mut layer.w[row.clone()],
+                    &mut layer.m_w[row.clone()],
+                    &mut layer.v_w[row],
+                );
+                for i in 0..layer.inputs {
+                    // Backpropagate through the weight before updating it.
+                    d_prev[i] += d * w[i];
+                    update.apply(&mut w[i], &mut m_w[i], &mut v_w[i], d * input[i]);
                 }
-                (d_prev, grads_w, grads_b)
-            };
-            let t = self.t;
-            let optimizer = self.optimizer;
-            let layer = &mut self.layers[li];
-            apply_update(
-                optimizer,
-                t,
-                &mut layer.w,
-                &mut layer.m_w,
-                &mut layer.v_w,
-                &grads_w,
-            );
-            apply_update(
-                optimizer,
-                t,
-                &mut layer.b,
-                &mut layer.m_b,
-                &mut layer.v_b,
-                &grads_b,
-            );
+                update.apply(&mut layer.b[o], &mut layer.m_b[o], &mut layer.v_b[o], d);
+            }
             delta = d_prev;
         }
         loss
@@ -249,32 +254,40 @@ impl Network {
     }
 }
 
-fn apply_update(
-    optimizer: Optimizer,
-    t: u64,
-    params: &mut [f64],
-    m: &mut [f64],
-    v: &mut [f64],
-    grads: &[f64],
-) {
-    match optimizer {
-        Optimizer::Sgd { lr } => {
-            for (p, g) in params.iter_mut().zip(grads) {
-                *p -= lr * g;
-            }
+/// One optimizer step's per-parameter update, with Adam's bias
+/// corrections computed once.
+#[derive(Clone, Copy)]
+enum Update {
+    Sgd { lr: f64 },
+    Adam { lr: f64, bc1: f64, bc2: f64 },
+}
+
+const B1: f64 = 0.9;
+const B2: f64 = 0.999;
+const EPS: f64 = 1e-8;
+
+impl Update {
+    fn new(optimizer: Optimizer, t: u64) -> Update {
+        match optimizer {
+            Optimizer::Sgd { lr } => Update::Sgd { lr },
+            Optimizer::Adam { lr } => Update::Adam {
+                lr,
+                bc1: 1.0 - B1.powi(t as i32),
+                bc2: 1.0 - B2.powi(t as i32),
+            },
         }
-        Optimizer::Adam { lr } => {
-            const B1: f64 = 0.9;
-            const B2: f64 = 0.999;
-            const EPS: f64 = 1e-8;
-            let bc1 = 1.0 - B1.powi(t as i32);
-            let bc2 = 1.0 - B2.powi(t as i32);
-            for i in 0..params.len() {
-                m[i] = B1 * m[i] + (1.0 - B1) * grads[i];
-                v[i] = B2 * v[i] + (1.0 - B2) * grads[i] * grads[i];
-                let m_hat = m[i] / bc1;
-                let v_hat = v[i] / bc2;
-                params[i] -= lr * m_hat / (v_hat.sqrt() + EPS);
+    }
+
+    #[inline]
+    fn apply(self, p: &mut f64, m: &mut f64, v: &mut f64, g: f64) {
+        match self {
+            Update::Sgd { lr } => *p -= lr * g,
+            Update::Adam { lr, bc1, bc2 } => {
+                *m = B1 * *m + (1.0 - B1) * g;
+                *v = B2 * *v + (1.0 - B2) * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *p -= lr * m_hat / (v_hat.sqrt() + EPS);
             }
         }
     }

@@ -155,29 +155,26 @@ impl QAgent {
         self.learn_batch();
     }
 
-    /// One TD(0) learning sweep over a sampled minibatch.
+    /// One TD(0) learning sweep over a sampled minibatch. The sampled
+    /// transitions are borrowed from the replay buffer, and each update
+    /// runs the network once on the state for both the target and the
+    /// gradient ([`Network::td_update`]).
     fn learn_batch(&mut self) {
-        if self.replay.is_empty() {
-            return;
-        }
-        let batch: Vec<Transition> = {
-            let sampled = self.replay.sample(self.cfg.batch, &mut self.rng);
-            sampled.into_iter().cloned().collect()
-        };
+        let batch = self.replay.sample(self.cfg.batch, &mut self.rng);
         for t in batch {
+            let terminal = t.done || t.next_state.is_empty();
             match &mut self.net_b {
                 None => {
-                    let mut target_q = self.net.forward(&t.state);
-                    let future = if t.done || t.next_state.is_empty() {
+                    let future = if terminal {
                         0.0
                     } else {
                         self.net
-                            .forward(&t.next_state)
+                            .forward(t.next_state)
                             .into_iter()
                             .fold(f64::NEG_INFINITY, f64::max)
                     };
-                    target_q[t.action] = t.reward + self.cfg.gamma * future;
-                    self.net.train_step(&t.state, &target_q);
+                    self.net
+                        .td_update(t.state, t.action, t.reward + self.cfg.gamma * future);
                 }
                 Some(net_b) => {
                     // Double Q: randomly pick which network to update; the
@@ -188,21 +185,19 @@ impl QAgent {
                     } else {
                         (net_b, &self.net)
                     };
-                    let mut target_q = upd.forward(&t.state);
-                    let future = if t.done || t.next_state.is_empty() {
+                    let future = if terminal {
                         0.0
                     } else {
-                        let q_upd = upd.forward(&t.next_state);
+                        let q_upd = upd.forward(t.next_state);
                         let argmax = q_upd
                             .iter()
                             .enumerate()
                             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
                             .map(|(i, _)| i)
                             .unwrap_or(0);
-                        eval.forward(&t.next_state)[argmax]
+                        eval.forward(t.next_state)[argmax]
                     };
-                    target_q[t.action] = t.reward + self.cfg.gamma * future;
-                    upd.train_step(&t.state, &target_q);
+                    upd.td_update(t.state, t.action, t.reward + self.cfg.gamma * future);
                 }
             }
         }

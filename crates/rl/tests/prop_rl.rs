@@ -3,10 +3,87 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use tunio_rl::logcurve::LogCurve;
 use tunio_rl::replay::{ReplayBuffer, Transition};
 use tunio_rl::DelayedReward;
+
+/// The reference ring: a plain `Vec<Transition>` with the buffer's
+/// historical push and sample rules.
+#[derive(Clone)]
+struct VecRing {
+    items: Vec<Transition>,
+    capacity: usize,
+    next: usize,
+}
+
+impl VecRing {
+    fn new(capacity: usize) -> Self {
+        VecRing {
+            items: Vec::new(),
+            capacity: capacity.max(1),
+            next: 0,
+        }
+    }
+
+    fn push(&mut self, t: Transition) {
+        if self.items.len() < self.capacity {
+            self.items.push(t);
+        } else {
+            self.items[self.next] = t;
+            self.next = (self.next + 1) % self.capacity;
+        }
+    }
+
+    fn sample(&self, n: usize, rng: &mut StdRng) -> Vec<Transition> {
+        if self.items.is_empty() {
+            return Vec::new();
+        }
+        (0..n)
+            .map(|_| self.items[rng.gen_range(0..self.items.len())].clone())
+            .collect()
+    }
+}
+
+/// A ring under test paired with its reference.
+#[derive(Clone)]
+struct Pair(ReplayBuffer, VecRing);
+
+impl Pair {
+    fn push(&mut self, t: Transition) {
+        self.0.push(t.clone());
+        self.1.push(t);
+    }
+
+    fn agrees(&self, seed: u64, n: usize) -> Result<(), TestCaseError> {
+        let stored: Vec<Transition> = self.0.iter().map(|t| t.to_transition()).collect();
+        prop_assert_eq!(&stored, &self.1.items);
+        let got: Vec<Transition> = self
+            .0
+            .sample(n, &mut StdRng::seed_from_u64(seed))
+            .iter()
+            .map(|t| t.to_transition())
+            .collect();
+        prop_assert_eq!(got, self.1.sample(n, &mut StdRng::seed_from_u64(seed)));
+        Ok(())
+    }
+}
+
+/// A transition with a two-element state and, when `has_next`, a
+/// two-element next state.
+fn shaped(value: f64, action: usize, done: bool, has_next: bool) -> Transition {
+    Transition {
+        state: vec![value, -value],
+        action,
+        reward: value * 0.5,
+        next_state: if has_next {
+            vec![value + 1.0, value - 1.0]
+        } else {
+            vec![]
+        },
+        done,
+    }
+}
 
 fn transition(reward: f64) -> Transition {
     Transition {
@@ -46,6 +123,44 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let sample = buf.sample(n_sample, &mut rng);
         prop_assert_eq!(sample.len(), n_sample.min(if buf.is_empty() { 0 } else { n_sample }));
+    }
+
+    #[test]
+    fn copy_on_write_ring_matches_a_vec_ring(
+        capacity in 1usize..12,
+        ops in proptest::collection::vec(
+            (0u8..6, -100.0f64..100.0, 0usize..5, any::<bool>(), 0u8..4),
+            0..120,
+        ),
+    ) {
+        // Op codes: 0-1 push to `a`, 2 push to `b`, 3 clone `a` into `b`,
+        // 4 drop `b` (so `a` owns its base again), 5 sample and compare.
+        let mut a = Pair(ReplayBuffer::new(capacity), VecRing::new(capacity));
+        let mut b: Option<Pair> = None;
+        for (step, (op, value, action, done, next)) in ops.into_iter().enumerate() {
+            // Mostly transitions with a next state; some without.
+            let t = shaped(value, action, done, next != 0);
+            match op {
+                0 | 1 => a.push(t),
+                2 => match b.as_mut() {
+                    Some(b) => b.push(t),
+                    None => a.push(t),
+                },
+                3 => b = Some(a.clone()),
+                4 => b = None,
+                _ => {
+                    a.agrees(step as u64, 7)?;
+                    if let Some(b) = &b {
+                        b.agrees(step as u64, 7)?;
+                    }
+                }
+            }
+            prop_assert_eq!(a.0.len(), a.1.items.len());
+        }
+        a.agrees(0, 16)?;
+        if let Some(b) = &b {
+            b.agrees(1, 16)?;
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! proves a fully-warm run) and are never visible to tenant B.
 
 use crate::http::{read_request, write_response, Request};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -34,6 +34,7 @@ use tunio::pipeline::{
     outcome_json, run_strategy_campaign_opts, spec_from_header, CampaignOptions, CampaignSpec,
     PipelineKind, StrategyKind,
 };
+use tunio::pretrain::PretrainCache;
 use tunio_iosim::{FaultPlan, NoiseProfile};
 use tunio_trace as trace;
 use tunio_tuner::{CacheEntry, EvalCounters, RacingConfig};
@@ -125,10 +126,14 @@ pub struct CampaignRequest {
 }
 
 fn ident_ok(s: &str) -> bool {
-    !s.is_empty()
-        && s.len() <= 64
-        && s.chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '-')
+    !s.is_empty() && s.len() <= 64 && id_ok(s)
+}
+
+/// Whether `s` only uses campaign-id characters, so it names a file
+/// inside the WAL directory and nothing outside it.
+fn id_ok(s: &str) -> bool {
+    s.chars()
+        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '-')
 }
 
 impl CampaignRequest {
@@ -338,9 +343,22 @@ impl CampaignState {
             CampaignState::Failed => "failed",
         }
     }
+
+    fn parse(label: &str) -> Option<CampaignState> {
+        [
+            CampaignState::Queued,
+            CampaignState::Running,
+            CampaignState::Done,
+            CampaignState::Failed,
+        ]
+        .into_iter()
+        .find(|s| s.label() == label)
+    }
 }
 
-/// Daemon-side record of one campaign.
+/// Daemon-side record of one campaign. Only queued and running
+/// campaigns keep one in memory: a settled campaign's record moves to its
+/// `{id}.status.json` sidecar in the WAL directory.
 #[derive(Debug, Clone)]
 pub struct CampaignRecord {
     /// `{tenant}--{name}`.
@@ -411,10 +429,52 @@ impl CampaignRecord {
 
     /// Deterministic status JSON (the `GET /campaigns/{id}` body).
     pub fn status_json(&self) -> String {
+        self.summary().status_json()
+    }
+
+    /// What the status, events and timeline endpoints render.
+    fn summary(&self) -> Summary {
+        Summary {
+            id: self.id.clone(),
+            trace_id: self.trace_id,
+            tenant: self.request.tenant.clone(),
+            state: self.state,
+            resumed: self.resumed,
+            generations: self.generations,
+            error: self.error.clone(),
+            best_perf: self.best_perf,
+            counters: self
+                .counters
+                .map(|c| (c.evaluations, c.cache_hits, c.sim_wall_s)),
+            timeline_json: self.timeline_json.clone(),
+        }
+    }
+}
+
+/// Everything the status, events and timeline endpoints render for one
+/// campaign. A settled campaign keeps exactly this, as its
+/// `{id}.status.json` sidecar, once its record leaves memory.
+#[derive(Debug, Clone, PartialEq)]
+struct Summary {
+    id: String,
+    trace_id: u64,
+    tenant: String,
+    state: CampaignState,
+    resumed: bool,
+    generations: u32,
+    error: Option<String>,
+    best_perf: Option<f64>,
+    /// `(evaluations, cache_hits, sim_wall_s)` of the finished run.
+    counters: Option<(u64, u64, f64)>,
+    timeline_json: Option<String>,
+}
+
+impl Summary {
+    fn status_json(&self) -> String {
         let mut s = String::from("{");
         s.push_str(&format!("\"id\":{}", quote(&self.id)));
         s.push_str(&format!(",\"trace_id\":\"{:016x}\"", self.trace_id));
-        s.push_str(&format!(",\"tenant\":{}", quote(&self.request.tenant)));
+        s.push_str(&format!(",\"tenant\":{}", quote(&self.tenant)));
         s.push_str(&format!(",\"state\":{}", quote(self.state.label())));
         s.push_str(&format!(",\"resumed\":{}", self.resumed));
         s.push_str(&format!(",\"generations\":{}", self.generations));
@@ -426,15 +486,126 @@ impl CampaignRecord {
             Some(p) => s.push_str(&format!(",\"best_perf\":{p:?}")),
             None => s.push_str(",\"best_perf\":null"),
         }
-        match &self.counters {
-            Some(c) => s.push_str(&format!(
-                ",\"counters\":{{\"evaluations\":{},\"cache_hits\":{},\"sim_wall_s\":{:?}}}",
-                c.evaluations, c.cache_hits, c.sim_wall_s
+        match self.counters {
+            Some((evaluations, cache_hits, sim_wall_s)) => s.push_str(&format!(
+                ",\"counters\":{{\"evaluations\":{evaluations},\"cache_hits\":{cache_hits},\
+                 \"sim_wall_s\":{sim_wall_s:?}}}"
             )),
             None => s.push_str(",\"counters\":null"),
         }
         s.push('}');
         s
+    }
+
+    /// The event stream: lifecycle events framed around per-generation
+    /// progress read straight from the WAL.
+    fn events(&self, wal: &Path) -> Vec<String> {
+        let mut lines: Vec<String> = Vec::new();
+        lines.push(format!(
+            "{{\"event\":\"submitted\",\"id\":{},\"tenant\":{}}}",
+            quote(&self.id),
+            quote(&self.tenant)
+        ));
+        if self.resumed {
+            lines.push("{\"event\":\"resumed\"}".to_string());
+        }
+        if self.state != CampaignState::Queued {
+            lines.push("{\"event\":\"started\"}".to_string());
+        }
+        if let Ok((_, generations)) = load(wal) {
+            for g in &generations {
+                lines.push(format!(
+                    "{{\"event\":\"generation\",\"iteration\":{},\"best_perf\":{:?},\"cost_s\":{:?}}}",
+                    g.record.iteration, g.record.best_perf, g.record.cost_s
+                ));
+            }
+        }
+        match self.state {
+            CampaignState::Done => lines.push(format!(
+                "{{\"event\":\"done\",\"best_perf\":{:?}}}",
+                self.best_perf.unwrap_or(f64::NAN)
+            )),
+            CampaignState::Failed => lines.push(format!(
+                "{{\"event\":\"failed\",\"error\":{}}}",
+                quote(self.error.as_deref().unwrap_or("unknown"))
+            )),
+            _ => {}
+        }
+        lines
+    }
+
+    /// The `{id}.status.json` sidecar. Floats print in shortest
+    /// round-trip form and the timeline is kept as its exact body, so
+    /// [`Summary::from_json`] restores every rendered byte.
+    fn to_json(&self) -> String {
+        use serde_json::Value;
+        let opt = |v: Option<Value>| v.unwrap_or(Value::Null);
+        let counters = self.counters.map(|(evaluations, cache_hits, sim_wall_s)| {
+            Value::Object(vec![
+                ("evaluations".to_string(), Value::UInt(evaluations)),
+                ("cache_hits".to_string(), Value::UInt(cache_hits)),
+                ("sim_wall_s".to_string(), Value::Float(sim_wall_s)),
+            ])
+        });
+        let obj = Value::Object(vec![
+            ("id".to_string(), Value::String(self.id.clone())),
+            (
+                "trace_id".to_string(),
+                Value::String(format!("{:016x}", self.trace_id)),
+            ),
+            ("tenant".to_string(), Value::String(self.tenant.clone())),
+            (
+                "state".to_string(),
+                Value::String(self.state.label().to_string()),
+            ),
+            ("resumed".to_string(), Value::Bool(self.resumed)),
+            (
+                "generations".to_string(),
+                Value::UInt(u64::from(self.generations)),
+            ),
+            (
+                "error".to_string(),
+                opt(self.error.clone().map(Value::String)),
+            ),
+            (
+                "best_perf".to_string(),
+                opt(self.best_perf.map(Value::Float)),
+            ),
+            ("counters".to_string(), opt(counters)),
+            (
+                "timeline".to_string(),
+                opt(self.timeline_json.clone().map(Value::String)),
+            ),
+        ]);
+        serde_json::to_string(&obj).expect("summary serializes")
+    }
+
+    fn from_json(text: &str) -> Option<Summary> {
+        let v: serde_json::Value = serde_json::from_str(text).ok()?;
+        let text_of = |key: &str| v.get(key).and_then(|x| x.as_str()).map(str::to_string);
+        let counters = match v.get("counters") {
+            Some(serde_json::Value::Null) | None => None,
+            Some(c) => Some((
+                c.get("evaluations")?.as_u64()?,
+                c.get("cache_hits")?.as_u64()?,
+                c.get("sim_wall_s")?.as_f64()?,
+            )),
+        };
+        Some(Summary {
+            id: text_of("id")?,
+            trace_id: u64::from_str_radix(&text_of("trace_id")?, 16).ok()?,
+            tenant: text_of("tenant")?,
+            state: CampaignState::parse(&text_of("state")?)?,
+            resumed: match v.get("resumed")? {
+                serde_json::Value::Bool(b) => *b,
+                _ => return None,
+            },
+            generations: u32::try_from(v.get("generations")?.as_u64()?).ok()?,
+            error: text_of("error"),
+            best_perf: v.get("best_perf").and_then(|x| x.as_f64()),
+            counters,
+            timeline_json: text_of("timeline"),
+        })
     }
 }
 
@@ -449,6 +620,9 @@ struct Shared {
     draining: AtomicBool,
     seq: AtomicU64,
     warm: Mutex<WarmCache>,
+    /// Pretrained agents shared by every tenant: they hold no tenant
+    /// data, unlike `warm`.
+    pretrain: Arc<PretrainCache>,
 }
 
 impl Shared {
@@ -462,6 +636,25 @@ impl Shared {
 
     fn meta_path(&self, id: &str) -> PathBuf {
         self.config.wal_dir.join(format!("{id}.meta.json"))
+    }
+
+    fn status_path(&self, id: &str) -> PathBuf {
+        self.config.wal_dir.join(format!("{id}.status.json"))
+    }
+
+    /// A campaign's summary: from memory while it is queued, running or
+    /// settling, else from its status sidecar. Memory is read first and
+    /// a record leaves memory only after its sidecar is written, so a
+    /// settled campaign is always found in one of the two.
+    fn summary(&self, id: &str) -> Option<Summary> {
+        if let Some(record) = lock(&self.records).get(id) {
+            return Some(record.summary());
+        }
+        if !id_ok(id) {
+            return None;
+        }
+        let text = std::fs::read_to_string(self.status_path(id)).ok()?;
+        Summary::from_json(&text)
     }
 
     fn log(&self, line: &str) {
@@ -497,12 +690,13 @@ fn submit(shared: &Arc<Shared>, req: CampaignRequest) -> Reply {
     let id = format!("{tenant}--{name}");
     {
         let mut records = lock(&shared.records);
-        if records.contains_key(&id) {
+        if records.contains_key(&id) || shared.status_path(&id).exists() {
             return (
                 409,
                 format!("{{\"error\":\"campaign {} already exists\"}}", quote(&id)),
             );
         }
+        // Settled records leave memory, but one may still be settling.
         let active = records
             .values()
             .filter(|r| {
@@ -659,7 +853,26 @@ fn execute(shared: &Arc<Shared>, id: &str) {
             record.timeline_json = Some(t.to_json());
         }
     }
+    evict(shared, id);
     trace::timeline::forget(trace_id);
+}
+
+/// Move a settled campaign out of memory: write its `{id}.status.json`
+/// sidecar, then drop the record (see [`Shared::summary`] for why this
+/// order never lets a poll miss it). A campaign whose sidecar cannot be
+/// written stays in memory.
+fn evict(shared: &Arc<Shared>, id: &str) {
+    let Some(summary) = lock(&shared.records).get(id).map(CampaignRecord::summary) else {
+        return;
+    };
+    match write_atomic(&shared.status_path(id), &summary.to_json()) {
+        Ok(()) => {
+            lock(&shared.records).remove(id);
+        }
+        Err(e) => shared.log(&format!(
+            "keeping {id} in memory: cannot persist status: {e}"
+        )),
+    }
 }
 
 fn run_admitted(shared: &Arc<Shared>, id: &str, request: &CampaignRequest, wal: &Path) {
@@ -699,6 +912,7 @@ fn run_admitted(shared: &Arc<Shared>, id: &str, request: &CampaignRequest, wal: 
             .and_then(NoiseProfile::parse),
         noise_seed: request.noise_seed,
         racing: request.racing.then(RacingConfig::default),
+        pretrain_cache: Some(shared.pretrain.clone()),
     };
     // The panic boundary. An evaluator panic (or the inject_panic drill)
     // unwinds to here, fails this one campaign, and the worker moves on.
@@ -816,6 +1030,7 @@ fn recover(shared: &Arc<Shared>) -> std::io::Result<()> {
         ));
     }
     let mut to_queue: Vec<String> = Vec::new();
+    let mut finished: HashSet<String> = HashSet::new();
     for wal in scan.resumable {
         let Some(id) = wal
             .path
@@ -832,29 +1047,41 @@ fn recover(shared: &Arc<Shared>) -> std::io::Result<()> {
                 continue;
             }
         };
-        let tenant = request.tenant.clone();
-        let fingerprint = request.fingerprint();
-        let mut record = CampaignRecord::fresh(&id, request);
-        record.generations = wal.generations as u32;
         if shared.outcome_path(&id).exists() {
             // Finished before the previous shutdown: the outcome file is
-            // durable, so surface it as done and recycle its entries.
-            record.state = CampaignState::Done;
-            if let Ok((_, generations)) = load(&wal.path) {
-                if let Some(last) = generations.last() {
-                    record.best_perf = Some(last.record.best_perf);
-                }
+            // durable, so recycle its entries. It stays on disk; a WAL
+            // directory from before status sidecars gets one now.
+            harvest_wal(shared, &request.tenant, &request.fingerprint(), &wal.path);
+            if !shared.status_path(&id).exists() {
+                let best_perf = load(&wal.path)
+                    .ok()
+                    .and_then(|(_, generations)| generations.last().map(|g| g.record.best_perf));
+                let summary = Summary {
+                    id: id.clone(),
+                    trace_id: trace_id_for(&id),
+                    tenant: request.tenant.clone(),
+                    state: CampaignState::Done,
+                    resumed: false,
+                    generations: wal.generations as u32,
+                    error: None,
+                    best_perf,
+                    counters: None,
+                    timeline_json: None,
+                };
+                write_atomic(&shared.status_path(&id), &summary.to_json())?;
             }
-            harvest_wal(shared, &tenant, &fingerprint, &wal.path);
             shared.log(&format!("recovered finished campaign {id}"));
-        } else {
-            record.resumed = true;
-            to_queue.push(id.clone());
-            shared.log(&format!(
-                "resuming campaign {id} ({} generations in WAL)",
-                wal.generations
-            ));
+            finished.insert(id);
+            continue;
         }
+        let mut record = CampaignRecord::fresh(&id, request);
+        record.generations = wal.generations as u32;
+        record.resumed = true;
+        to_queue.push(id.clone());
+        shared.log(&format!(
+            "resuming campaign {id} ({} generations in WAL)",
+            wal.generations
+        ));
         lock(&shared.records).insert(id, record);
     }
     // Accepted-but-never-started campaigns: a meta sidecar with no WAL.
@@ -870,7 +1097,7 @@ fn recover(shared: &Arc<Shared>) -> std::io::Result<()> {
     }
     meta_ids.sort();
     for id in meta_ids {
-        if lock(&shared.records).contains_key(&id) {
+        if finished.contains(&id) || lock(&shared.records).contains_key(&id) {
             continue;
         }
         let Ok(text) = std::fs::read_to_string(shared.meta_path(&id)) else {
@@ -982,12 +1209,11 @@ fn handle_request(shared: &Arc<Shared>, req: &Request) -> Reply {
             }
         }
         ("GET", "/campaigns") => {
-            let records = lock(&shared.records);
             let filter = req.query_get("tenant");
-            let items: Vec<String> = records
+            let items: Vec<String> = list(shared)
                 .values()
-                .filter(|r| filter.is_none_or(|t| r.request.tenant == t))
-                .map(|r| r.status_json())
+                .filter(|s| filter.is_none_or(|t| s.tenant == t))
+                .map(Summary::status_json)
                 .collect();
             (200, format!("[{}]", items.join(",")))
         }
@@ -1002,9 +1228,8 @@ fn handle_request(shared: &Arc<Shared>, req: &Request) -> Reply {
             } else if let Some(id) = rest.strip_suffix("/timeline") {
                 timeline_reply(shared, id)
             } else {
-                let records = lock(&shared.records);
-                match records.get(rest) {
-                    Some(r) => (200, r.status_json()),
+                match shared.summary(rest) {
+                    Some(s) => (200, s.status_json()),
                     None => (404, "{\"error\":\"no such campaign\"}".to_string()),
                 }
             }
@@ -1018,49 +1243,47 @@ fn quote_inner(s: &str) -> String {
     q[1..q.len() - 1].to_string()
 }
 
-/// Build the event stream for one campaign: lifecycle events framed
-/// around per-generation progress read straight from the WAL. Returned
-/// as JSONL; `from=N` skips the first N lines so clients can tail.
-fn events_reply(shared: &Arc<Shared>, id: &str, from: usize) -> Reply {
-    let record = {
-        let records = lock(&shared.records);
-        match records.get(id) {
-            Some(r) => r.clone(),
-            None => return (404, "{\"error\":\"no such campaign\"}".to_string()),
-        }
+/// Every campaign by id: the in-memory records, then the status
+/// sidecars of the settled ones (memory is read first, for the same
+/// reason as in [`Shared::summary`]).
+fn list(shared: &Arc<Shared>) -> BTreeMap<String, Summary> {
+    let mut all: BTreeMap<String, Summary> = lock(&shared.records)
+        .values()
+        .map(|r| (r.id.clone(), r.summary()))
+        .collect();
+    let Ok(dir) = std::fs::read_dir(&shared.config.wal_dir) else {
+        return all;
     };
-    let mut lines: Vec<String> = Vec::new();
-    lines.push(format!(
-        "{{\"event\":\"submitted\",\"id\":{},\"tenant\":{}}}",
-        quote(id),
-        quote(&record.request.tenant)
-    ));
-    if record.resumed {
-        lines.push("{\"event\":\"resumed\"}".to_string());
-    }
-    if record.state != CampaignState::Queued {
-        lines.push("{\"event\":\"started\"}".to_string());
-    }
-    if let Ok((_, generations)) = load(&shared.wal_path(id)) {
-        for g in &generations {
-            lines.push(format!(
-                "{{\"event\":\"generation\",\"iteration\":{},\"best_perf\":{:?},\"cost_s\":{:?}}}",
-                g.record.iteration, g.record.best_perf, g.record.cost_s
-            ));
+    for entry in dir.flatten() {
+        let name = entry.file_name();
+        let Some(id) = name.to_str().and_then(|n| n.strip_suffix(".status.json")) else {
+            continue;
+        };
+        if all.contains_key(id) {
+            continue;
+        }
+        if let Some(summary) = std::fs::read_to_string(entry.path())
+            .ok()
+            .and_then(|text| Summary::from_json(&text))
+        {
+            all.insert(id.to_string(), summary);
         }
     }
-    match record.state {
-        CampaignState::Done => lines.push(format!(
-            "{{\"event\":\"done\",\"best_perf\":{:?}}}",
-            record.best_perf.unwrap_or(f64::NAN)
-        )),
-        CampaignState::Failed => lines.push(format!(
-            "{{\"event\":\"failed\",\"error\":{}}}",
-            quote(record.error.as_deref().unwrap_or("unknown"))
-        )),
-        _ => {}
-    }
-    let body: String = lines.into_iter().skip(from).map(|l| l + "\n").collect();
+    all
+}
+
+/// The event stream for one campaign as JSONL; `from=N` skips the first
+/// N lines so clients can tail.
+fn events_reply(shared: &Arc<Shared>, id: &str, from: usize) -> Reply {
+    let Some(summary) = shared.summary(id) else {
+        return (404, "{\"error\":\"no such campaign\"}".to_string());
+    };
+    let body: String = summary
+        .events(&shared.wal_path(id))
+        .into_iter()
+        .skip(from)
+        .map(|l| l + "\n")
+        .collect();
     (200, body)
 }
 
@@ -1068,17 +1291,13 @@ fn events_reply(shared: &Arc<Shared>, id: &str, from: usize) -> Reply {
 /// it settled, a live reconstruction from the span store while it is
 /// still queued or running.
 fn timeline_reply(shared: &Arc<Shared>, id: &str) -> Reply {
-    let (trace_id, cached) = {
-        let records = lock(&shared.records);
-        match records.get(id) {
-            Some(r) => (r.trace_id, r.timeline_json.clone()),
-            None => return (404, "{\"error\":\"no such campaign\"}".to_string()),
-        }
+    let Some(summary) = shared.summary(id) else {
+        return (404, "{\"error\":\"no such campaign\"}".to_string());
     };
-    if let Some(json) = cached {
+    if let Some(json) = summary.timeline_json {
         return (200, json);
     }
-    match trace::timeline::snapshot(trace_id, trace::now_us()) {
+    match trace::timeline::snapshot(summary.trace_id, trace::now_us()) {
         Some(t) => (200, t.to_json()),
         None => (
             404,
@@ -1153,6 +1372,7 @@ impl Daemon {
             draining: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             warm: Mutex::new(HashMap::new()),
+            pretrain: Arc::new(PretrainCache::new()),
         });
         recover(&shared)?;
         let stop_listener = Arc::new(AtomicBool::new(false));
@@ -1204,6 +1424,21 @@ impl Daemon {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The pretraining cache every campaign of this daemon draws from.
+    pub fn pretrain_cache(&self) -> &PretrainCache {
+        &self.shared.pretrain
+    }
+
+    /// Campaigns whose records are in memory, by id: the queued and
+    /// running ones (a settled campaign leaves memory as soon as its
+    /// status sidecar is written).
+    pub fn resident(&self) -> Vec<(String, CampaignState)> {
+        lock(&self.shared.records)
+            .values()
+            .map(|r| (r.id.clone(), r.state))
+            .collect()
     }
 
     /// Start a graceful drain: refuse new submissions, let queued and
@@ -1359,6 +1594,42 @@ mod tests {
         ))
         .unwrap_err();
         assert!(err.contains("noise"), "{err}");
+    }
+
+    #[test]
+    fn summary_sidecar_restores_every_rendered_byte() {
+        let mut record = CampaignRecord::fresh(
+            "t--a.b",
+            CampaignRequest::from_json(&value("{\"tenant\":\"t\",\"app\":\"hacc\"}")).unwrap(),
+        );
+        record.state = CampaignState::Failed;
+        record.resumed = true;
+        record.generations = 7;
+        record.error = Some("evaluator \"x\" panicked:\n\tbad \\ path".to_string());
+        record.best_perf = Some(0.1 + 0.2);
+        record.counters = Some(EvalCounters {
+            evaluations: 41,
+            cache_hits: 3,
+            charged_cost_s: 9.5,
+            sim_wall_s: 1.0 / 3.0,
+        });
+        record.timeline_json = Some("{\"trace_id\":\"00ff\",\"share\":0.1}".to_string());
+        let wal = Path::new("no-such-wal.jsonl");
+        for state in [CampaignState::Failed, CampaignState::Done] {
+            record.state = state;
+            let summary = record.summary();
+            let restored = Summary::from_json(&summary.to_json()).expect("sidecar parses");
+            assert_eq!(restored, summary);
+            assert_eq!(restored.status_json(), record.status_json());
+            assert_eq!(restored.events(wal), summary.events(wal));
+        }
+        record.best_perf = None;
+        record.counters = None;
+        record.error = None;
+        record.timeline_json = None;
+        let summary = record.summary();
+        assert_eq!(Summary::from_json(&summary.to_json()), Some(summary));
+        assert_eq!(Summary::from_json("{\"id\":1}"), None);
     }
 
     #[test]

@@ -620,3 +620,92 @@ fn drain_refuses_new_work_but_finishes_queued_work() {
     assert!(dir.join("d--b.outcome.json").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every body a settled campaign is read through: status, events and
+/// timeline per id, then the listing.
+fn settled_bodies(addr: SocketAddr, ids: &[&str]) -> Vec<(u16, String)> {
+    let mut bodies = Vec::new();
+    for id in ids {
+        for suffix in ["", "/events", "/timeline"] {
+            bodies.push(http(addr, "GET", &format!("/campaigns/{id}{suffix}"), None));
+        }
+    }
+    bodies.push(http(addr, "GET", "/campaigns", None));
+    bodies
+}
+
+#[test]
+fn tenants_share_pretraining_and_settled_campaigns_live_on_disk() {
+    let dir = test_dir("pretrain-cache");
+    let spec = "\"app\":\"vpic\",\"variant\":\"kernel\",\"iterations\":6,\
+                \"population\":4,\"seed\":99";
+    let mut daemon = Daemon::start(config(&dir, 1)).expect("daemon boots");
+    let addr = daemon.addr();
+
+    // Two tenants submit one seed in turn: the first campaign trains
+    // both TunIO agents, the second clones them from the shared cache.
+    let ids = ["ca--job", "cb--job"];
+    for id in ids {
+        let tenant = id.split_once("--").unwrap().0;
+        let (status, body) = submit(
+            addr,
+            &format!("{{\"tenant\":\"{tenant}\",\"name\":\"job\",{spec}}}"),
+        );
+        assert_eq!(status, 202, "{body}");
+        assert_eq!(state_of(&await_settled(addr, id)), "done");
+    }
+    assert_eq!(daemon.pretrain_cache().lookups(), (2, 2), "(hits, misses)");
+    assert_eq!(daemon.pretrain_cache().entries(), (1, 1));
+
+    // A cache hit changes no byte of the outcome.
+    let request: serde_json::Value =
+        serde_json::from_str(&format!("{{\"tenant\":\"cb\",{spec}}}")).unwrap();
+    let (campaign, _) = tunio_serve::CampaignRequest::from_json(&request)
+        .unwrap()
+        .to_spec()
+        .unwrap();
+    let expected =
+        tunio::pipeline::outcome_json(&tunio::pipeline::run_campaign(&campaign).unwrap());
+    for id in ids {
+        let served = std::fs::read_to_string(dir.join(format!("{id}.outcome.json"))).unwrap();
+        assert_eq!(served, expected, "{id} differs from run_campaign");
+    }
+
+    // Settled campaigns leave memory once their status sidecar is down;
+    // only queued and running campaigns stay resident.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !daemon.resident().is_empty() {
+        assert!(Instant::now() < deadline, "{:?}", daemon.resident());
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    for id in ids {
+        assert!(dir.join(format!("{id}.status.json")).exists());
+    }
+    let evicted = settled_bodies(addr, &ids);
+    assert!(
+        evicted.iter().take(2).all(|(s, _)| *s == 200),
+        "{evicted:?}"
+    );
+    assert!(evicted[1].1.contains("\"event\":\"done\""), "{evicted:?}");
+    assert!(evicted[6].1.contains("ca--job") && evicted[6].1.contains("cb--job"));
+    // The id is still taken.
+    let (status, _) = submit(
+        addr,
+        &format!("{{\"tenant\":\"ca\",\"name\":\"job\",{spec}}}"),
+    );
+    assert_eq!(status, 409);
+    daemon.drain_and_join();
+
+    // A restart serves the same bytes from disk without loading the
+    // finished campaigns into memory.
+    let mut daemon = Daemon::start(config(&dir, 1)).expect("daemon reboots");
+    assert!(daemon.resident().is_empty(), "{:?}", daemon.resident());
+    assert_eq!(settled_bodies(daemon.addr(), &ids), evicted);
+    let (status, _) = submit(
+        daemon.addr(),
+        &format!("{{\"tenant\":\"cb\",\"name\":\"job\",{spec}}}"),
+    );
+    assert_eq!(status, 409);
+    daemon.drain_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -7,6 +7,7 @@
 
 use crate::sink::record_from_json;
 use crate::{FieldValue, Record};
+use std::collections::HashMap;
 
 /// Bytes per megabyte (perf fields are bytes/s; reports show MB/s).
 const MB: f64 = 1_000_000.0;
@@ -301,15 +302,18 @@ pub fn parse_jsonl_lenient(text: &str) -> (Vec<Record>, Vec<String>) {
     (records, errors)
 }
 
-/// Fold a record stream into campaign summaries. A `campaign.done`
-/// event closes the current campaign; traces without one still yield a
-/// single summary from whatever generations and decisions they carry.
+/// Fold a record stream into campaign summaries. Records are first
+/// grouped by trace ([`group_by_trace`]), so campaigns that ran at the
+/// same time (a daemon's workers) do not mix their rows. Within a group
+/// a `campaign.done` event closes the current campaign; traces without
+/// one still yield a single summary from whatever generations and
+/// decisions they carry.
 pub fn summarize(records: &[Record]) -> Vec<CampaignSummary> {
     let mut out: Vec<CampaignSummary> = Vec::new();
     let mut cur = CampaignSummary::default();
     let mut open = false;
 
-    for r in records {
+    for r in group_by_trace(records) {
         match r.name.as_str() {
             "campaign" => {
                 // The campaign span closes *after* campaign.done; attach
@@ -462,6 +466,30 @@ pub fn summarize(records: &[Record]) -> Vec<CampaignSummary> {
         }
     }
     out
+}
+
+/// The records reordered so each trace's records are contiguous: traces
+/// in order of first appearance, records in file order within a trace.
+/// A record without a trace id stays with the record before it. A trace
+/// whose campaigns ran one after another is left in file order.
+fn group_by_trace(records: &[Record]) -> Vec<&Record> {
+    let mut order: Vec<Option<u64>> = Vec::new();
+    let mut groups: HashMap<Option<u64>, Vec<&Record>> = HashMap::new();
+    let mut current = None;
+    for r in records {
+        current = r.trace_id.or(current);
+        groups
+            .entry(current)
+            .or_insert_with(|| {
+                order.push(current);
+                Vec::new()
+            })
+            .push(r);
+    }
+    order
+        .iter()
+        .flat_map(|key| groups.remove(key).unwrap_or_default())
+        .collect()
 }
 
 /// Render the per-layer attribution table from trace-derived totals.
@@ -774,6 +802,58 @@ mod tests {
         assert_eq!(s.peak_roti().unwrap().0, 2);
         assert!(s.stop_reason().contains("heuristic-5pct-5iter"));
         assert!(s.stop_reason().contains("generation 2"));
+    }
+
+    #[test]
+    fn interleaved_campaigns_are_summarized_apart() {
+        // Two campaigns of one daemon, written as their workers ran them.
+        let tagged = |trace: u64, line: String| {
+            line.replacen("{\"t_us\"", &format!("{{\"trace_id\":{trace},\"t_us\""), 1)
+        };
+        let done = |app: &str, best: f64| {
+            format!(
+                r#"{{"t_us":3000,"name":"campaign.done","fields":{{"kind":"TunIO","app":"{app}","best_perf":{best},"default_perf":100e6,"evaluations":10,"cache_hits":0}}}}"#
+            )
+        };
+        let span = |app: &str, dur: u64| {
+            format!(
+                r#"{{"t_us":3100,"name":"campaign","dur_us":{dur},"fields":{{"kind":"TunIO","app":"{app}"}}}}"#
+            )
+        };
+        let lines = [
+            tagged(7, gen_record(1, 150e6, 60.0)),
+            tagged(9, gen_record(1, 900e6, 30.0)),
+            tagged(7, gen_record(2, 200e6, 120.0)),
+            tagged(9, gen_record(2, 950e6, 60.0)),
+            tagged(9, gen_record(3, 990e6, 90.0)),
+            tagged(9, done("vpic", 990e6)),
+            tagged(9, span("vpic", 5000)),
+            tagged(7, done("hacc", 200e6)),
+            tagged(7, span("hacc", 8000)),
+        ];
+        let records = parse_jsonl(&lines.join("\n")).unwrap();
+        let sums = summarize(&records);
+        assert_eq!(sums.len(), 2);
+        let (a, b) = (&sums[0], &sums[1]);
+        assert_eq!(a.app.as_deref(), Some("hacc"));
+        assert_eq!(
+            a.generations
+                .iter()
+                .map(|g| g.best_perf)
+                .collect::<Vec<_>>(),
+            vec![150e6, 200e6]
+        );
+        assert_eq!(a.campaign_wall_us, Some(8000));
+        assert_eq!(b.app.as_deref(), Some("vpic"));
+        assert_eq!(
+            b.generations
+                .iter()
+                .map(|g| g.iteration)
+                .collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+        assert_eq!(b.best_perf, Some(990e6));
+        assert_eq!(b.campaign_wall_us, Some(5000));
     }
 
     #[test]
