@@ -16,10 +16,10 @@
 //! dependent — unlike the fig* benches this one is about the service
 //! layer, not the simulated I/O stack.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 use tunio_serve::{Daemon, ServeConfig};
+use tunio_trace::http::call;
 
 const TENANTS: usize = 4;
 const CAMPAIGNS_PER_TENANT: usize = 3;
@@ -27,25 +27,7 @@ const SPEC: &str = "\"app\":\"hacc\",\"variant\":\"kernel\",\"iterations\":6,\
                     \"population\":4,\"seed\":42";
 
 fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let body = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    call(addr, method, path, body.unwrap_or("")).expect("http exchange")
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {

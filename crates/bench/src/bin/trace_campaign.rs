@@ -70,7 +70,7 @@ fn main() {
 
     // Keep the handle alive for the whole campaign; Drop stops the thread.
     let _metrics_server = args.metrics_addr.as_deref().map(|addr| {
-        let server = tunio_trace::MetricsServer::serve(addr).unwrap_or_else(|e| {
+        let server = tunio_trace::serve_metrics(addr).unwrap_or_else(|e| {
             eprintln!("error: cannot bind metrics server on {addr}: {e}");
             std::process::exit(1);
         });

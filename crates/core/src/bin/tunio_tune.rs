@@ -323,7 +323,7 @@ fn main() -> ExitCode {
     // Keep the server handle alive for the whole campaign; dropping it
     // stops the background thread.
     let _metrics_server = match args.metrics_addr.as_deref() {
-        Some(addr) => match tunio_trace::MetricsServer::serve(addr) {
+        Some(addr) => match tunio_trace::serve_metrics(addr) {
             Ok(server) => {
                 if !args.quiet {
                     eprintln!("serving metrics on http://{}/metrics", server.addr());

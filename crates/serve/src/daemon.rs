@@ -20,9 +20,8 @@
 //! tenant A's next identical campaign (`counters.sim_wall_s == 0.0`
 //! proves a fully-warm run) and are never visible to tenant B.
 
-use crate::http::{read_request, write_response, Request};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,6 +36,7 @@ use tunio::pipeline::{
 use tunio::pretrain::PretrainCache;
 use tunio_iosim::{FaultPlan, NoiseProfile};
 use tunio_trace as trace;
+use tunio_trace::http::{Request, Response, Server, JSON, NDJSON};
 use tunio_tuner::{CacheEntry, EvalCounters, RacingConfig};
 use tunio_workloads::Variant;
 
@@ -1180,10 +1180,12 @@ fn recover_request(
 // HTTP surface
 // ---------------------------------------------------------------------------
 
-fn handle_request(shared: &Arc<Shared>, req: &Request) -> Reply {
-    match (req.method.as_str(), req.path.as_str()) {
+/// The daemon's routes. Every route but `/metrics` and the event stream
+/// answers JSON.
+fn handle_request(shared: &Arc<Shared>, req: &Request) -> Response {
+    let (status, body) = match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/metrics") => return trace::metrics_response(),
         ("GET", "/healthz") => (200, "{\"status\":\"ok\"}".to_string()),
-        ("GET", "/metrics") => (200, trace::render_global()),
         ("POST", "/drain") => {
             shared.draining.store(true, Ordering::SeqCst);
             shared.queue_cv.notify_all();
@@ -1191,21 +1193,15 @@ fn handle_request(shared: &Arc<Shared>, req: &Request) -> Reply {
         }
         ("POST", "/campaigns") => {
             let body = String::from_utf8_lossy(&req.body);
-            let value: serde_json::Value = match serde_json::from_str(&body) {
-                Ok(v) => v,
-                Err(e) => {
-                    return (
-                        400,
-                        format!(
-                            "{{\"error\":\"bad JSON: {}\"}}",
-                            quote_inner(&e.to_string())
-                        ),
-                    )
-                }
-            };
-            match CampaignRequest::from_json(&value) {
-                Ok(request) => submit(shared, request),
-                Err(why) => (400, format!("{{\"error\":{}}}", quote(&why))),
+            match serde_json::from_str::<serde_json::Value>(&body) {
+                Err(e) => (
+                    400,
+                    format!("{{\"error\":{}}}", quote(&format!("bad JSON: {e}"))),
+                ),
+                Ok(value) => match CampaignRequest::from_json(&value) {
+                    Ok(request) => submit(shared, request),
+                    Err(why) => (400, format!("{{\"error\":{}}}", quote(&why))),
+                },
             }
         }
         ("GET", "/campaigns") => {
@@ -1224,7 +1220,8 @@ fn handle_request(shared: &Arc<Shared>, req: &Request) -> Reply {
                     .query_get("from")
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(0);
-                events_reply(shared, id, from)
+                let (status, body) = events_reply(shared, id, from);
+                return (status, NDJSON, body);
             } else if let Some(id) = rest.strip_suffix("/timeline") {
                 timeline_reply(shared, id)
             } else {
@@ -1235,12 +1232,8 @@ fn handle_request(shared: &Arc<Shared>, req: &Request) -> Reply {
             }
         }
         _ => (404, "{\"error\":\"no such endpoint\"}".to_string()),
-    }
-}
-
-fn quote_inner(s: &str) -> String {
-    let q = quote(s);
-    q[1..q.len() - 1].to_string()
+    };
+    (status, JSON, body)
 }
 
 /// Every campaign by id: the in-memory records, then the status
@@ -1306,28 +1299,6 @@ fn timeline_reply(shared: &Arc<Shared>, id: &str) -> Reply {
     }
 }
 
-fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let (reply, is_metrics) = match read_request(&mut stream) {
-        Ok(req) => {
-            let is_metrics = req.method == "GET" && req.path == "/metrics";
-            (handle_request(shared, &req), is_metrics)
-        }
-        Err(e) => (
-            (400, format!("{{\"error\":{}}}", quote(&e.to_string()))),
-            false,
-        ),
-    };
-    let content_type = if is_metrics {
-        // The Prometheus text exposition format's required content type.
-        "text/plain; version=0.0.4; charset=utf-8"
-    } else if reply.1.starts_with('{') || reply.1.starts_with('[') {
-        "application/json"
-    } else {
-        "text/plain; charset=utf-8"
-    };
-    let _ = write_response(&mut stream, reply.0, content_type, &reply.1);
-}
-
 // ---------------------------------------------------------------------------
 // Daemon lifecycle
 // ---------------------------------------------------------------------------
@@ -1339,10 +1310,8 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
 /// an abrupt kill is always safe — that is what the WAL recovery path
 /// is for.
 pub struct Daemon {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    stop_listener: Arc<AtomicBool>,
-    listener_handle: Option<JoinHandle<()>>,
+    server: Server,
     worker_handles: Vec<JoinHandle<()>>,
     /// Whether this daemon installed the global trace sink (and so must
     /// flush and clear it when it drains).
@@ -1351,7 +1320,7 @@ pub struct Daemon {
 
 impl Daemon {
     /// Boot: create the WAL directory, recover every campaign found in
-    /// it, bind the listener, start the worker pool.
+    /// it, start serving HTTP, start the worker pool.
     pub fn start(config: ServeConfig) -> std::io::Result<Daemon> {
         std::fs::create_dir_all(&config.wal_dir)?;
         let owns_sink = if let Some(path) = &config.trace_path {
@@ -1360,9 +1329,6 @@ impl Daemon {
         } else {
             false
         };
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             config,
@@ -1375,29 +1341,8 @@ impl Daemon {
             pretrain: Arc::new(PretrainCache::new()),
         });
         recover(&shared)?;
-        let stop_listener = Arc::new(AtomicBool::new(false));
-        let listener_handle = {
-            let shared = shared.clone();
-            let stop = stop_listener.clone();
-            std::thread::Builder::new()
-                .name("tunio-serve-http".to_string())
-                .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                let shared = shared.clone();
-                                let _ = std::thread::Builder::new()
-                                    .name("tunio-serve-conn".to_string())
-                                    .spawn(move || handle_conn(&shared, stream));
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                        }
-                    }
-                })?
-        };
+        let routes = shared.clone();
+        let server = Server::serve(&shared.config.addr, move |req| handle_request(&routes, req))?;
         let worker_handles = (0..workers)
             .map(|i| {
                 let shared = shared.clone();
@@ -1406,16 +1351,15 @@ impl Daemon {
                     .spawn(move || worker_loop(&shared))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
+        let addr = server.addr();
         shared.log(&format!(
             "listening on {addr} ({} workers, WAL dir {})",
             workers,
             shared.config.wal_dir.display()
         ));
         Ok(Daemon {
-            addr,
             shared,
-            stop_listener,
-            listener_handle: Some(listener_handle),
+            server,
             worker_handles,
             owns_sink,
         })
@@ -1423,7 +1367,7 @@ impl Daemon {
 
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// The pretraining cache every campaign of this daemon draws from.
@@ -1461,10 +1405,7 @@ impl Daemon {
         for handle in self.worker_handles.drain(..) {
             let _ = handle.join();
         }
-        self.stop_listener.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.listener_handle.take() {
-            let _ = handle.join();
-        }
+        self.server.shutdown();
         if self.owns_sink {
             // Flush the JSONL trace so offline reconstruction sees every
             // span the drained campaigns emitted.
@@ -1476,14 +1417,11 @@ impl Daemon {
 
 impl Drop for Daemon {
     fn drop(&mut self) {
-        // Only the listener: workers may be mid-campaign, and killing a
-        // campaign abruptly is exactly what the WAL makes safe.
-        self.stop_listener.store(true, Ordering::SeqCst);
+        // Only the listener (the server field stops on drop): workers
+        // may be mid-campaign, and killing a campaign abruptly is exactly
+        // what the WAL makes safe.
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.queue_cv.notify_all();
-        if let Some(handle) = self.listener_handle.take() {
-            let _ = handle.join();
-        }
     }
 }
 

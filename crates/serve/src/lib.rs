@@ -26,6 +26,5 @@
 #![warn(missing_docs)]
 
 pub mod daemon;
-pub mod http;
 
 pub use daemon::{CampaignRecord, CampaignRequest, CampaignState, Daemon, ServeConfig};

@@ -5,11 +5,11 @@
 //! The trace metric registry is global to the test process, so metric
 //! assertions check presence/deltas, never absolute values.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use tunio_serve::{Daemon, ServeConfig};
+use tunio_trace::http::{call, call_raw};
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tunio-serve-{name}"));
@@ -31,25 +31,7 @@ fn config(wal_dir: &Path, workers: usize) -> ServeConfig {
 }
 
 fn http(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let body = body.unwrap_or("");
-    let request = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad response: {response:?}"));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
+    call(addr, method, path, body.unwrap_or("")).expect("http exchange")
 }
 
 fn submit(addr: SocketAddr, body: &str) -> (u16, String) {
@@ -367,12 +349,7 @@ fn boot_quarantines_alien_wals_and_keeps_serving() {
 /// Like [`http`] but returns the raw response (status line + headers +
 /// body) so tests can assert on headers.
 fn http_raw(addr: SocketAddr, method: &str, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    let request = format!("{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n");
-    stream.write_all(request.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("receive");
-    response
+    call_raw(addr, method, path, "").expect("http exchange")
 }
 
 /// Exposition-format conformance: the content type advertises version
@@ -488,6 +465,20 @@ fn events_from_boundary_is_empty_and_tailing_never_skips_or_repeats() {
         None,
     );
     assert_eq!((status, body.as_str()), (200, ""));
+
+    // The route's content type does not depend on whether the reply
+    // holds events.
+    for from in [0, n] {
+        let raw = http_raw(
+            addr,
+            "GET",
+            &format!("/campaigns/e--tail/events?from={from}"),
+        );
+        assert!(
+            raw.contains("\r\nContent-Type: application/x-ndjson\r\n"),
+            "events content type for from={from}: {raw}"
+        );
+    }
 
     daemon.drain_and_join();
     let _ = std::fs::remove_dir_all(&dir);

@@ -6,22 +6,17 @@
 //! `_count`/`_sum` plus min/max as the 0/1 quantiles — the registry keeps
 //! no buckets by design (see [`crate::metrics`]).
 //!
-//! [`MetricsServer`] serves that text over HTTP from a background thread
-//! so a live campaign can be scraped mid-run: scrapes only read atomic
-//! snapshots and never block metric writers. Each accepted connection is
-//! handled on its own short-lived thread, so one stalled scraper cannot
-//! starve the others — the serve daemon exposes this endpoint to every
-//! tenant at once.
+//! [`serve_metrics`] serves that text over HTTP on every path through
+//! the workspace's one [`crate::http::Server`], so a live campaign can be
+//! scraped mid-run: scrapes only read atomic snapshots and never block
+//! metric writers. The `tunio-serve` daemon answers its `/metrics` route
+//! with the same [`metrics_response`].
 
+use crate::http::{Response, Server, PROMETHEUS};
 use crate::metrics::{MetricSnapshot, MetricValue};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::OnceLock;
 
 fn help_registry() -> &'static Mutex<HashMap<String, String>> {
     static HELP: OnceLock<Mutex<HashMap<String, String>>> = OnceLock::new();
@@ -172,111 +167,25 @@ pub fn render_global() -> String {
     render_prometheus(&crate::metrics_snapshot())
 }
 
-/// A background-thread HTTP server exposing [`render_global`] on every
-/// request. Bind to port 0 to let the OS pick (tests); [`MetricsServer::addr`]
-/// reports the resolved address. Shut down explicitly or on drop.
-pub struct MetricsServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+/// A scrape's reply: [`render_global`] in the exposition format's
+/// content type.
+pub fn metrics_response() -> Response {
+    (200, PROMETHEUS, render_global())
 }
 
-impl MetricsServer {
-    /// Bind `addr` (e.g. `"127.0.0.1:9090"`) and start serving scrapes
-    /// from a background thread.
-    pub fn serve(addr: &str) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let stop = shutdown.clone();
-        let handle = std::thread::Builder::new()
-            .name("tunio-metrics".to_string())
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // One thread per scrape: a client that connects
-                            // and then stalls must not block the accept loop
-                            // (read timeouts in serve_one bound each thread's
-                            // lifetime to ~500ms).
-                            let _ = std::thread::Builder::new()
-                                .name("tunio-metrics-conn".to_string())
-                                .spawn(move || {
-                                    let _ = serve_one(stream);
-                                });
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
-                    }
-                }
-            })?;
-        Ok(MetricsServer {
-            addr: local,
-            shutdown,
-            handle: Some(handle),
-        })
-    }
-
-    /// The address the server actually bound (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop the server thread and wait for it to exit.
-    pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
-    // The accepted stream inherits the listener's non-blocking flag on
-    // some platforms; reads below rely on the timeout instead.
-    stream.set_nonblocking(false)?;
-    // Drain the request line and headers (best effort, bounded): the
-    // response is the same for every path, so parsing is unnecessary.
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    let mut buf = [0u8; 1024];
-    let mut seen = Vec::new();
-    loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => {
-                seen.extend_from_slice(&buf[..n]);
-                if seen.windows(4).any(|w| w == b"\r\n\r\n") || seen.len() > 16 * 1024 {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    let body = render_global();
-    let response = format!(
-        "HTTP/1.1 200 OK\r\n\
-         Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-         Content-Length: {}\r\n\
-         Connection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+/// Bind `addr` (e.g. `"127.0.0.1:9090"`) and answer every request,
+/// whatever its path, with [`metrics_response`] from a background thread.
+/// The server stops when dropped.
+pub fn serve_metrics(addr: &str) -> std::io::Result<Server> {
+    Server::serve(addr, |_| metrics_response())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::HistogramData;
+    use std::net::TcpStream;
+    use std::time::Duration;
 
     fn snap(name: &str, labels: &[(&str, &str)], value: MetricValue) -> MetricSnapshot {
         MetricSnapshot {
@@ -362,20 +271,15 @@ mod tests {
 
     #[test]
     fn stalled_scrapers_do_not_block_healthy_ones() {
-        let mut server = MetricsServer::serve("127.0.0.1:0").expect("bind");
+        let mut server = serve_metrics("127.0.0.1:0").expect("bind");
         let addr = server.addr();
         // Three clients connect and then say nothing: with a serial accept
-        // loop each would hold the server for its full 500ms read timeout.
+        // loop each would hold the server for its full read timeout.
         let stalled: Vec<TcpStream> = (0..3)
             .map(|_| TcpStream::connect(addr).expect("connect"))
             .collect();
         let started = std::time::Instant::now();
-        let mut healthy = TcpStream::connect(addr).expect("connect");
-        healthy
-            .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-            .expect("request");
-        let mut response = String::new();
-        healthy.read_to_string(&mut response).expect("response");
+        let response = crate::http::call_raw(addr, "GET", "/metrics", "").expect("scrape");
         assert!(
             response.starts_with("HTTP/1.1 200 OK"),
             "unexpected response: {response:?}"

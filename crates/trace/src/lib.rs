@@ -60,12 +60,13 @@
 #![warn(missing_docs)]
 
 pub mod expose;
+pub mod http;
 pub mod metrics;
 pub mod report;
 pub mod sink;
 pub mod timeline;
 
-pub use expose::{render_global, render_prometheus, MetricsServer};
+pub use expose::{metrics_response, render_global, render_prometheus, serve_metrics};
 pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot};
 pub use sink::{JsonlSink, MemorySink, Sink};
 pub use timeline::Timeline;

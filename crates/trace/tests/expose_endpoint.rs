@@ -5,25 +5,15 @@
 //! These tests share the process-global metric registry, so they run in
 //! one #[test] body each over disjoint metric names.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use tunio_trace as trace;
-use tunio_trace::MetricsServer;
+use tunio_trace::http::call_raw;
+use tunio_trace::serve_metrics;
 
 fn scrape(addr: std::net::SocketAddr) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to metrics server");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    stream
-        .write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n")
-        .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
+    let response = call_raw(addr, "GET", "/metrics", "").expect("scrape");
     let (headers, body) = response
         .split_once("\r\n\r\n")
         .expect("response has a header/body split");
@@ -43,7 +33,7 @@ fn scrape_returns_exposition_format() {
     h.record(1.0);
     h.record(3.0);
 
-    let server = MetricsServer::serve("127.0.0.1:0").expect("bind");
+    let server = serve_metrics("127.0.0.1:0").expect("bind");
     let body = scrape(server.addr());
 
     // Counter: sanitized name, `# TYPE` header, exact value.
@@ -69,7 +59,7 @@ fn scrape_returns_exposition_format() {
 #[test]
 fn label_values_are_escaped_in_scrape() {
     trace::labeled_counter("ep.escape.total", &[("path", "a\"b\\c\nd")]).inc(1);
-    let server = MetricsServer::serve("127.0.0.1:0").expect("bind");
+    let server = serve_metrics("127.0.0.1:0").expect("bind");
     let body = scrape(server.addr());
     assert!(
         body.contains("ep_escape_total{path=\"a\\\"b\\\\c\\nd\"} 1\n"),
@@ -85,7 +75,7 @@ fn concurrent_scrapes_never_block_or_tear() {
     // float sum is exact). A torn read (count from one state, sum from
     // another) would violate it.
     const SAMPLE: f64 = 2.5;
-    let server = MetricsServer::serve("127.0.0.1:0").expect("bind");
+    let server = serve_metrics("127.0.0.1:0").expect("bind");
     let stop = Arc::new(AtomicBool::new(false));
     let writers: Vec<_> = (0..4)
         .map(|_| {
