@@ -10,11 +10,11 @@
 //! * [`resolve`] — scoped name resolution: every variable use binds to a
 //!   unique [`resolve::VarId`], so shadowed and same-named variables in
 //!   different functions stay distinct.
-//! * [`cfg`] — a control-flow graph per function with basic blocks,
+//! * [`cfg`](mod@cfg) — a control-flow graph per function with basic blocks,
 //!   handling `if`/`for`/`while`/`do-while`/`break`/`continue`/`return`.
 //! * [`dataflow`] — a generic worklist fixpoint engine with
 //!   reaching-definitions and liveness instances.
-//! * [`slice`] — a precise interprocedural backward slicer seeded from
+//! * [`slice`](mod@slice) — a precise interprocedural backward slicer seeded from
 //!   I/O calls; `tunio-discovery` uses it as the default marking.
 //! * [`lint`] — diagnostics on top of the same analyses (dead-store,
 //!   unreachable-code, possibly-uninitialized-read, I/O-inside-hot-loop,

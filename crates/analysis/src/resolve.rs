@@ -41,16 +41,6 @@ pub struct VarInfo {
     pub kind: VarKind,
 }
 
-impl VarInfo {
-    /// Whether the variable holds a defined value on function entry.
-    pub fn initialized_at_entry(&self) -> bool {
-        match self.kind {
-            VarKind::Local { .. } => false,
-            VarKind::Param | VarKind::External => true,
-        }
-    }
-}
-
 /// Name resolution for one function: variables, and per-statement
 /// reads/writes/calls in terms of [`VarId`].
 #[derive(Debug, Clone, Default)]
@@ -381,7 +371,6 @@ mod tests {
         assert_eq!(n.kind, VarKind::Param);
         let (_, total) = var_named(&res, "total")[0];
         assert_eq!(total.kind, VarKind::External);
-        assert!(total.initialized_at_entry());
     }
 
     #[test]

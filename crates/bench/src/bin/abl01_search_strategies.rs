@@ -94,11 +94,23 @@ fn main() {
         .collect();
     summarize("random", rs, &mut rows);
 
+    // One scheduler window per climb step: the incumbent, eight
+    // neighbours and the move or restart.
     let hc: Vec<(u64, f64, f64)> = seeds
         .iter()
         .map(|&seed| {
-            let mut search = HillClimb::new(ITERS, seed);
-            let t = search.run(&engine(seed), &mut NoStop, &mut AllParams);
+            let engine = engine(seed);
+            let strategy = Box::new(HillClimb::new(engine.space.clone(), ITERS, seed));
+            let t = run_strategy(
+                &engine,
+                strategy,
+                &mut NoStop,
+                &mut AllParams,
+                HillClimb::STEP,
+                1,
+                &mut NoObserver,
+            )
+            .trace;
             (seed, t.best_perf / GIB, t.total_cost_min())
         })
         .collect();

@@ -316,7 +316,7 @@ fn variant_from_str(s: &str) -> Option<Variant> {
 }
 
 /// Reconstruct the campaign a WAL header describes — the inverse of
-/// [`spec_header`]. This is what lets a restarted daemon resume every
+/// `spec_header`. This is what lets a restarted daemon resume every
 /// in-flight campaign from nothing but its WAL directory. Returns the
 /// spec plus its search backend. Errs with a human-readable reason when
 /// this build cannot host the campaign (another checkpoint version, or

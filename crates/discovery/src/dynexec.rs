@@ -72,15 +72,6 @@ impl SiteObs {
             "strided"
         }
     }
-
-    /// The constant stride in bytes, when the pattern is strided.
-    pub fn observed_stride(&self) -> Option<u64> {
-        if self.observed_pattern() == "strided" {
-            Some((self.offsets[1] - self.offsets[0]).unsigned_abs())
-        } else {
-            None
-        }
-    }
 }
 
 /// Everything observed while replaying one entry function.
@@ -717,7 +708,7 @@ mod tests {
         let obs = t.sites.values().next().unwrap();
         assert_eq!(obs.ops, 7);
         assert_eq!(obs.observed_pattern(), "strided");
-        assert_eq!(obs.observed_stride(), Some(4_194_304));
+        assert_eq!(obs.offsets[1] - obs.offsets[0], 4_194_304);
         assert_eq!(obs.bytes, 7 * 1_048_576);
     }
 

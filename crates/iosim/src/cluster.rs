@@ -76,16 +76,6 @@ impl ClusterSpec {
             node_mem_bw: 40.0 * GIB,
         }
     }
-
-    /// Processes per node (rounded up).
-    pub fn procs_per_node(&self) -> u32 {
-        self.procs.div_ceil(self.nodes)
-    }
-
-    /// Aggregate injection bandwidth of the whole allocation, bytes/s.
-    pub fn aggregate_network_bw(&self) -> f64 {
-        self.node_network_bw * self.nodes as f64
-    }
 }
 
 #[cfg(test)]
@@ -97,26 +87,9 @@ mod tests {
         let small = ClusterSpec::cori_4node();
         assert_eq!(small.nodes, 4);
         assert_eq!(small.procs, 128);
-        assert_eq!(small.procs_per_node(), 32);
 
         let big = ClusterSpec::cori_500node();
         assert_eq!(big.nodes, 500);
         assert_eq!(big.procs, 1600);
-        assert_eq!(big.procs_per_node(), 4);
-    }
-
-    #[test]
-    fn aggregate_bw_scales_with_nodes() {
-        let small = ClusterSpec::cori_4node();
-        let big = ClusterSpec::cori_500node();
-        assert!(big.aggregate_network_bw() > small.aggregate_network_bw() * 100.0);
-    }
-
-    #[test]
-    fn procs_per_node_rounds_up() {
-        let mut c = ClusterSpec::test_tiny();
-        c.nodes = 3;
-        c.procs = 10;
-        assert_eq!(c.procs_per_node(), 4);
     }
 }

@@ -31,7 +31,6 @@
 
 pub mod burst;
 pub mod cluster;
-pub mod darshan;
 pub mod fault;
 pub mod hdf5;
 pub mod interference;
@@ -45,7 +44,6 @@ pub mod sim;
 
 pub use burst::BurstBufferSpec;
 pub use cluster::ClusterSpec;
-pub use darshan::{DarshanLog, DatasetCounters};
 pub use fault::{FaultKind, FaultPlan, InjectedFault, SimFault};
 pub use interference::{InterferenceModel, NoiseProfile};
 pub use lustre::LustreSpec;

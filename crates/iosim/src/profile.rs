@@ -1,6 +1,6 @@
 //! Per-layer cost attribution (Darshan-style "who spent the time").
 //!
-//! A [`RunReport`](crate::RunReport) reduces a simulated run to one set of
+//! A [`RunReport`] reduces a simulated run to one set of
 //! totals; a [`Profile`] keeps the per-layer breakdown: how much *self time*
 //! each layer of the simulated stack contributed, plus the bytes and
 //! operation counts it handled. Self time is exclusive — the seconds a

@@ -76,13 +76,6 @@ pub struct IoPhase {
     pub pre_striped: u32,
 }
 
-impl IoPhase {
-    /// Mean size of one library-level call, in bytes.
-    pub fn avg_op_size(&self) -> f64 {
-        self.per_proc_bytes as f64 / self.ops_per_proc.max(1) as f64
-    }
-}
-
 /// One step of a workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Phase {
@@ -124,22 +117,6 @@ mod tests {
         assert!(contig < coarse);
         assert!(coarse < fine);
         assert!(fine <= random);
-    }
-
-    #[test]
-    fn avg_op_size_guards_zero_ops() {
-        let phase = IoPhase {
-            dataset: "d".into(),
-            kind: IoKind::Write,
-            per_proc_bytes: 100,
-            ops_per_proc: 0,
-            pattern: AccessPattern::Contiguous,
-            meta_ops: 0,
-            collective_capable: true,
-            chunk_reuse_bytes: 0,
-            pre_striped: 0,
-        };
-        assert_eq!(phase.avg_op_size(), 100.0);
     }
 
     #[test]

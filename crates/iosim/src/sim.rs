@@ -11,7 +11,7 @@ use crate::noise::{fingerprint, NoiseModel};
 use crate::profile::{Layer, Profile};
 use crate::report::RunReport;
 use crate::request::{IoKind, Phase};
-use tunio_params::{Configuration, ParameterSpace, StackConfig};
+use tunio_params::StackConfig;
 
 /// Simulated I/O stack: cluster + file system + noise.
 ///
@@ -188,17 +188,6 @@ impl Simulator {
         report.elapsed_s = report.compute_time_s + report.io_time_s + report.meta_time_s;
         profile.scale_noise(mult);
         (report, profile)
-    }
-
-    /// Run once for a genome in `space` (resolves then calls [`Self::run`]).
-    pub fn run_config(
-        &self,
-        phases: &[Phase],
-        space: &ParameterSpace,
-        config: &Configuration,
-        run_idx: u32,
-    ) -> RunReport {
-        self.run(phases, &config.resolve(space), run_idx)
     }
 
     /// The paper's methodology: run `repeats` times, average the reports.
@@ -492,7 +481,7 @@ fn fingerprint_of(cfg: &StackConfig) -> u64 {
 mod tests {
     use super::*;
     use crate::request::{AccessPattern, IoPhase};
-    use tunio_params::ParamId;
+    use tunio_params::{Configuration, ParamId, ParameterSpace};
 
     const MIB: u64 = 1024 * 1024;
     const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
@@ -702,6 +691,7 @@ mod tests {
 mod pre_striped_tests {
     use super::*;
     use crate::request::{AccessPattern, IoPhase};
+    use tunio_params::ParameterSpace;
 
     #[test]
     fn pre_striped_inputs_speed_up_default_reads_only() {
@@ -741,6 +731,7 @@ mod burst_buffer_tests {
     use super::*;
     use crate::burst::BurstBufferSpec;
     use crate::request::{AccessPattern, IoPhase};
+    use tunio_params::ParameterSpace;
 
     fn checkpoint(per_proc_mib: u64) -> Vec<Phase> {
         vec![
@@ -862,6 +853,7 @@ mod burst_buffer_tests {
 mod stdio_tests {
     use super::*;
     use crate::request::{AccessPattern, IoPhase};
+    use tunio_params::ParameterSpace;
 
     #[test]
     fn logging_writes_are_coalesced_client_side() {
@@ -898,7 +890,7 @@ mod interference_tests {
     use super::*;
     use crate::interference::{InterferenceModel, NoiseProfile};
     use crate::request::{AccessPattern, IoPhase};
-    use tunio_params::ParamId;
+    use tunio_params::{ParamId, ParameterSpace};
 
     const MIB: u64 = 1024 * 1024;
 
@@ -1020,6 +1012,7 @@ mod fault_tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan};
     use crate::request::{AccessPattern, IoPhase};
+    use tunio_params::ParameterSpace;
 
     fn phases() -> Vec<Phase> {
         vec![

@@ -139,11 +139,6 @@ impl LogCurveEnv {
             relative_gain.min(8.0) / 8.0,
         ]
     }
-
-    /// The curve currently being emulated (for tests/analysis).
-    pub fn current_curve(&self) -> &LogCurve {
-        &self.curve
-    }
 }
 
 impl Env for LogCurveEnv {

@@ -26,10 +26,6 @@ pub struct QConfig {
     pub replay_capacity: usize,
     /// Minibatch size per learning step.
     pub batch: usize,
-    /// Use Double Q-learning (two networks, action selection and value
-    /// estimation decoupled) to damp the max-operator's overestimation
-    /// bias — useful when rewards are noisy, as tuning objectives are.
-    pub double_q: bool,
 }
 
 impl Default for QConfig {
@@ -43,7 +39,6 @@ impl Default for QConfig {
             hidden: 24,
             replay_capacity: 4096,
             batch: 16,
-            double_q: false,
         }
     }
 }
@@ -53,8 +48,6 @@ impl Default for QConfig {
 #[derive(Debug, Clone)]
 pub struct QAgent {
     net: Network,
-    /// Second estimator for Double Q-learning (mirrors `net`'s shape).
-    net_b: Option<Network>,
     n_actions: usize,
     cfg: QConfig,
     /// Current exploration rate.
@@ -74,17 +67,8 @@ impl QAgent {
             Optimizer::Adam { lr: cfg.lr },
             &mut rng,
         );
-        let net_b = cfg.double_q.then(|| {
-            Network::new(
-                &[state_dim, cfg.hidden, n_actions],
-                &[Activation::Tanh, Activation::Linear],
-                Optimizer::Adam { lr: cfg.lr },
-                &mut rng,
-            )
-        });
         QAgent {
             net,
-            net_b,
             n_actions,
             cfg,
             epsilon: cfg.epsilon_start,
@@ -93,34 +77,28 @@ impl QAgent {
         }
     }
 
-    /// Q-values for a state (mean of both estimators under Double Q).
+    /// Q-values for a state.
     pub fn q_values(&self, state: &[f64]) -> Vec<f64> {
-        match &self.net_b {
-            None => self.net.forward(state),
-            Some(b) => {
-                let qa = self.net.forward(state);
-                let qb = b.forward(state);
-                qa.iter().zip(&qb).map(|(x, y)| 0.5 * (x + y)).collect()
-            }
-        }
+        self.net.forward(state)
     }
 
     /// Export the Q-network weights as JSON (for persisting pre-trained
-    /// agents across processes).
+    /// agents across processes). The format is a `[network, null]` pair;
+    /// the second slot is kept so files written when it could hold a
+    /// second estimator still read back.
     pub fn export_json(&self) -> String {
-        serde_json::to_string(&(&self.net, &self.net_b)).expect("networks serialize")
+        serde_json::to_string(&(&self.net, None::<&Network>)).expect("network serializes")
     }
 
     /// Restore Q-network weights exported with [`Self::export_json`].
     /// Exploration state and replay contents are not persisted.
     pub fn import_json(&mut self, json: &str) -> Result<(), String> {
-        let (net, net_b): (Network, Option<Network>) =
+        let (net, _): (Network, Option<Network>) =
             serde_json::from_str(json).map_err(|e| e.to_string())?;
         if net.input_dim() != self.net.input_dim() || net.output_dim() != self.net.output_dim() {
             return Err("network shape mismatch".into());
         }
         self.net = net;
-        self.net_b = net_b;
         Ok(())
     }
 
@@ -162,44 +140,16 @@ impl QAgent {
     fn learn_batch(&mut self) {
         let batch = self.replay.sample(self.cfg.batch, &mut self.rng);
         for t in batch {
-            let terminal = t.done || t.next_state.is_empty();
-            match &mut self.net_b {
-                None => {
-                    let future = if terminal {
-                        0.0
-                    } else {
-                        self.net
-                            .forward(t.next_state)
-                            .into_iter()
-                            .fold(f64::NEG_INFINITY, f64::max)
-                    };
-                    self.net
-                        .td_update(t.state, t.action, t.reward + self.cfg.gamma * future);
-                }
-                Some(net_b) => {
-                    // Double Q: randomly pick which network to update; the
-                    // *other* network evaluates the argmax action.
-                    let update_a = self.rng.gen_bool(0.5);
-                    let (upd, eval): (&mut Network, &Network) = if update_a {
-                        (&mut self.net, net_b)
-                    } else {
-                        (net_b, &self.net)
-                    };
-                    let future = if terminal {
-                        0.0
-                    } else {
-                        let q_upd = upd.forward(t.next_state);
-                        let argmax = q_upd
-                            .iter()
-                            .enumerate()
-                            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                            .map(|(i, _)| i)
-                            .unwrap_or(0);
-                        eval.forward(t.next_state)[argmax]
-                    };
-                    upd.td_update(t.state, t.action, t.reward + self.cfg.gamma * future);
-                }
-            }
+            let future = if t.done || t.next_state.is_empty() {
+                0.0
+            } else {
+                self.net
+                    .forward(t.next_state)
+                    .into_iter()
+                    .fold(f64::NEG_INFINITY, f64::max)
+            };
+            self.net
+                .td_update(t.state, t.action, t.reward + self.cfg.gamma * future);
         }
     }
 
@@ -384,87 +334,26 @@ mod tests {
         };
         assert_eq!(run(), run());
     }
-}
-
-#[cfg(test)]
-mod double_q_tests {
-    use super::*;
-    use crate::env::StepResult;
-    use crate::logcurve::LogCurveEnv;
-
-    /// Noisy two-armed bandit: arm 1's mean is higher but variance large.
-    struct NoisyBandit {
-        rng: StdRng,
-    }
-
-    impl Env for NoisyBandit {
-        fn state_dim(&self) -> usize {
-            1
-        }
-        fn n_actions(&self) -> usize {
-            2
-        }
-        fn reset(&mut self) -> Vec<f64> {
-            vec![0.0]
-        }
-        fn step(&mut self, action: usize) -> StepResult {
-            let noise: f64 = self.rng.gen_range(-0.5..0.5);
-            let reward = if action == 1 {
-                0.6 + noise
-            } else {
-                0.4 + noise
-            };
-            StepResult {
-                state: vec![0.0],
-                reward,
-                done: true,
-            }
-        }
-    }
-
-    #[test]
-    fn double_q_learns_the_noisy_bandit() {
-        let cfg = QConfig {
-            double_q: true,
-            ..QConfig::default()
-        };
-        let mut agent = QAgent::new(1, 2, cfg, 11);
-        let mut env = NoisyBandit {
-            rng: StdRng::seed_from_u64(1),
-        };
-        agent.train(&mut env, 400, 1);
-        assert_eq!(agent.best_action(&[0.0]), 1);
-    }
-
-    #[test]
-    fn double_q_trains_on_log_curves() {
-        let cfg = QConfig {
-            double_q: true,
-            ..QConfig::default()
-        };
-        let mut agent = QAgent::new(4, 2, cfg, 3);
-        let mut env = LogCurveEnv::new(20, 0.02, 5);
-        let returns = agent.train(&mut env, 100, 21);
-        assert_eq!(returns.len(), 100);
-        assert!(returns.iter().all(|r| r.is_finite()));
-    }
 
     #[test]
     fn weights_round_trip_through_json() {
-        let a = QAgent::new(3, 2, QConfig::default(), 7);
-        // Train a little so weights are non-trivial.
-        let mut env = NoisyBandit {
-            rng: StdRng::seed_from_u64(2),
-        };
-        let mut trainer = QAgent::new(1, 2, QConfig::default(), 8);
-        trainer.train(&mut env, 20, 1);
+        // Train the exported agent so the round trip carries learned
+        // weights, not just the seeded initialisation.
+        let mut a = QAgent::new(1, 2, QConfig::default(), 7);
+        let fresh = a.q_values(&[0.0]);
+        a.train(&mut Bandit, 20, 1);
+        let before = a.q_values(&[0.0]);
+        assert_ne!(before, fresh, "training must move the weights");
 
         let json = a.export_json();
-        let before = a.q_values(&[0.1, 0.2, 0.3]);
-        let mut b = QAgent::new(3, 2, QConfig::default(), 999);
-        assert_ne!(b.q_values(&[0.1, 0.2, 0.3]), before);
+        assert!(
+            json.ends_with(",null]"),
+            "export keeps the [network, null] format"
+        );
+        let mut b = QAgent::new(1, 2, QConfig::default(), 999);
+        assert_ne!(b.q_values(&[0.0]), before);
         b.import_json(&json).unwrap();
-        assert_eq!(b.q_values(&[0.1, 0.2, 0.3]), before);
+        assert_eq!(b.q_values(&[0.0]), before);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! a shared worker pool. Its design leans entirely on the per-campaign
 //! failure boundary the rest of the workspace provides:
 //!
-//! * a campaign that fails ([`CampaignError`]) or whose evaluator
-//!   *panics* marks only that campaign `failed` — the process, the other
-//!   tenants, and the worker thread all survive;
+//! * a campaign that fails
+//!   ([`CampaignError`](tunio::pipeline::CampaignError)) or whose
+//!   evaluator *panics* marks only that campaign `failed` — the process,
+//!   the other tenants, and the worker thread all survive;
 //! * every campaign checkpoints to its own WAL under the daemon's WAL
 //!   directory, so a killed daemon resumes every in-flight campaign on
 //!   the next boot (bitwise-identically, per the WAL replay contract);
@@ -305,19 +306,14 @@ fn parse_variant(v: &str) -> Result<Variant, String> {
     }
 }
 
+/// `s` as a JSON string literal.
 fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            other => out.push(other),
-        }
-    }
-    out.push('"');
-    out
+    serde_json::to_string(s).expect("a string serializes")
+}
+
+/// An `{"error": msg}` response body.
+fn error_body(msg: &str) -> String {
+    format!("{{\"error\":{}}}", quote(msg))
 }
 
 /// Lifecycle of one submitted campaign.
@@ -691,10 +687,7 @@ fn submit(shared: &Arc<Shared>, req: CampaignRequest) -> Reply {
     {
         let mut records = lock(&shared.records);
         if records.contains_key(&id) || shared.status_path(&id).exists() {
-            return (
-                409,
-                format!("{{\"error\":\"campaign {} already exists\"}}", quote(&id)),
-            );
+            return (409, error_body(&format!("campaign {id} already exists")));
         }
         // Settled records leave memory, but one may still be settling.
         let active = records
@@ -708,11 +701,10 @@ fn submit(shared: &Arc<Shared>, req: CampaignRequest) -> Reply {
             trace::labeled_counter("tunio.serve.rejected_quota", &[("tenant", &tenant)]).inc(1);
             return (
                 429,
-                format!(
-                    "{{\"error\":\"tenant {} already has {active} active campaigns (limit {})\"}}",
-                    quote(&tenant),
+                error_body(&format!(
+                    "tenant {tenant} already has {active} active campaigns (limit {})",
                     shared.config.max_active_per_tenant
-                ),
+                )),
             );
         }
         let queued = lock(&shared.queue).len();
@@ -728,13 +720,7 @@ fn submit(shared: &Arc<Shared>, req: CampaignRequest) -> Reply {
         // The meta sidecar lets a restarted daemon re-enqueue campaigns
         // that were accepted but never started a WAL before the crash.
         if let Err(e) = write_atomic(&shared.meta_path(&id), &req.to_json()) {
-            return (
-                500,
-                format!(
-                    "{{\"error\":\"cannot persist request: {}\"}}",
-                    quote(&e.to_string())
-                ),
-            );
+            return (500, error_body(&format!("cannot persist request: {e}")));
         }
         records.insert(id.clone(), CampaignRecord::fresh(&id, req));
         lock(&shared.queue).push_back(id.clone());
@@ -1194,13 +1180,10 @@ fn handle_request(shared: &Arc<Shared>, req: &Request) -> Response {
         ("POST", "/campaigns") => {
             let body = String::from_utf8_lossy(&req.body);
             match serde_json::from_str::<serde_json::Value>(&body) {
-                Err(e) => (
-                    400,
-                    format!("{{\"error\":{}}}", quote(&format!("bad JSON: {e}"))),
-                ),
+                Err(e) => (400, error_body(&format!("bad JSON: {e}"))),
                 Ok(value) => match CampaignRequest::from_json(&value) {
                     Ok(request) => submit(shared, request),
-                    Err(why) => (400, format!("{{\"error\":{}}}", quote(&why))),
+                    Err(why) => (400, error_body(&why)),
                 },
             }
         }

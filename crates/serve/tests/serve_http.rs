@@ -157,6 +157,26 @@ fn concurrent_tenants_complete_with_namespaced_caches() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `error` string of an error response, which must be valid JSON.
+fn error_of(body: &str) -> String {
+    let v: serde_json::Value = serde_json::from_str(body).expect("error body is JSON");
+    v.get("error")
+        .and_then(|e| e.as_str())
+        .expect("error field")
+        .to_string()
+}
+
+#[test]
+fn error_bodies_carry_control_characters_as_valid_json() {
+    let dir = test_dir("control-chars");
+    let mut daemon = Daemon::start(config(&dir, 1)).expect("daemon boots");
+    let (status, body) = submit(daemon.addr(), r#"{"tenant":"a\tb","app":"hacc"}"#);
+    assert_eq!(status, 400, "{body}");
+    assert!(error_of(&body).contains("`a\tb`"), "{body}");
+    daemon.drain_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn tenant_quota_returns_429_without_losing_admitted_work() {
     let dir = test_dir("quota");
@@ -170,7 +190,7 @@ fn tenant_quota_returns_429_without_losing_admitted_work() {
     assert_eq!((s1, s2), (202, 202));
     let (s3, body) = submit(addr, &format!("{{\"tenant\":\"q\",\"name\":\"c\",{SPEC}}}"));
     assert_eq!(s3, 429, "{body}");
-    assert!(body.contains("active campaigns"), "{body}");
+    assert!(error_of(&body).contains("active campaigns"), "{body}");
 
     // Another tenant is not affected by q's quota.
     let (s4, _) = submit(addr, &format!("{{\"tenant\":\"r\",\"name\":\"a\",{SPEC}}}"));
@@ -184,8 +204,9 @@ fn tenant_quota_returns_429_without_losing_admitted_work() {
     assert_eq!(state_of(&await_settled(addr, "q--c")), "done");
 
     // Duplicate ids are refused.
-    let (s6, _) = submit(addr, &format!("{{\"tenant\":\"q\",\"name\":\"c\",{SPEC}}}"));
+    let (s6, body) = submit(addr, &format!("{{\"tenant\":\"q\",\"name\":\"c\",{SPEC}}}"));
     assert_eq!(s6, 409);
+    assert_eq!(error_of(&body), "campaign q--c already exists");
 
     daemon.drain_and_join();
     let _ = std::fs::remove_dir_all(&dir);

@@ -343,8 +343,9 @@ pub fn event(name: &'static str, fields: Fields) {
 /// The span parents itself under the calling thread's current span and
 /// becomes the current span until the guard drops. With no surrounding
 /// context it is a *trace root* and mints a fresh trace id (equal to its
-/// own span id); use [`span_root`] to mint a root with a chosen trace id
-/// (the serve daemon derives one from the campaign id).
+/// own span id). To join a chosen trace instead, install a context with
+/// [`with_context`] first: the serve daemon does this with a trace id
+/// derived from the campaign id.
 pub fn span(name: &'static str, fields: Fields) -> SpanGuard {
     if !enabled() {
         return SpanGuard {
@@ -353,31 +354,9 @@ pub fn span(name: &'static str, fields: Fields) -> SpanGuard {
         };
     }
     let parent = current();
-    span_with_parent(name, fields, parent, parent.map(|p| p.trace_id))
-}
-
-/// Start a *root* span for trace `trace_id`: no parent, regardless of
-/// the calling thread's current context. The guard installs itself as
-/// the current span, so everything beneath it joins the trace.
-pub fn span_root(name: &'static str, trace_id: u64, fields: Fields) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard {
-            inner: None,
-            _not_send: PhantomData,
-        };
-    }
-    span_with_parent(name, fields, None, Some(trace_id))
-}
-
-fn span_with_parent(
-    name: &'static str,
-    fields: Fields,
-    parent: Option<SpanContext>,
-    trace_id: Option<u64>,
-) -> SpanGuard {
     let span_id = alloc_span_id();
     let ctx = SpanContext {
-        trace_id: trace_id.unwrap_or(span_id),
+        trace_id: parent.map_or(span_id, |p| p.trace_id),
         span_id,
     };
     let prev = CURRENT.with(|c| c.replace(Some(ctx)));
@@ -679,22 +658,6 @@ mod tests {
         assert_eq!(work.trace_id, Some(trace_id));
         assert_eq!(work.parent_id, Some(ctx.unwrap().span_id));
         timeline::forget(trace_id);
-    }
-
-    #[test]
-    fn span_root_uses_the_given_trace_id() {
-        let _l = sink_test_lock();
-        let sink = install_memory_sink();
-        let root = span_root("r.root", 0xfeed, vec![]);
-        assert_eq!(root.context().unwrap().trace_id, 0xfeed);
-        {
-            let _child = span("r.child", vec![]);
-        }
-        drop(root);
-        clear_sink();
-        let records = sink.take();
-        assert!(records.iter().all(|r| r.trace_id == Some(0xfeed)));
-        timeline::forget(0xfeed);
     }
 
     #[test]

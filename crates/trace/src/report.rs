@@ -303,7 +303,7 @@ pub fn parse_jsonl_lenient(text: &str) -> (Vec<Record>, Vec<String>) {
 }
 
 /// Fold a record stream into campaign summaries. Records are first
-/// grouped by trace ([`group_by_trace`]), so campaigns that ran at the
+/// grouped by trace (`group_by_trace`), so campaigns that ran at the
 /// same time (a daemon's workers) do not mix their rows. Within a group
 /// a `campaign.done` event closes the current campaign; traces without
 /// one still yield a single summary from whatever generations and

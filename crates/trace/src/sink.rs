@@ -17,16 +17,6 @@ pub trait Sink: Send + Sync {
     fn flush(&self) {}
 }
 
-/// Discards everything. Installing it is equivalent to (but slightly
-/// more expensive than) having no sink at all; it exists so overhead
-/// can be measured with the full emission path active.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    fn emit(&self, _record: &Record) {}
-}
-
 /// Buffers records in memory, for tests.
 #[derive(Debug, Default)]
 pub struct MemorySink {

@@ -658,7 +658,7 @@ impl EvalEngine {
     }
 
     /// Preload checkpoint-restored entries. Each is served with full miss
-    /// bookkeeping on first use (see [`Slot::Replay`]); keys already in
+    /// bookkeeping on first use (see `Slot::Replay`); keys already in
     /// the cache are left untouched.
     pub fn preload(&self, entries: Vec<CacheEntry>) {
         for e in entries {
@@ -1055,7 +1055,7 @@ impl EvalEngine {
     /// scheduler's commit frontier.
     ///
     /// Keys the engine already knows — the default baseline, a
-    /// checkpoint [`Slot::Replay`], or an earlier settle — are served
+    /// checkpoint `Slot::Replay`, or an earlier settle — are served
     /// through [`EvalEngine::evaluate`] with standard accounting; no
     /// race state is created, so settling leaves them untouched. This
     /// is what makes a resumed campaign skip re-racing bitwise.

@@ -112,26 +112,6 @@ impl TuningTrace {
     pub fn gain(&self) -> f64 {
         (self.best_perf - self.default_perf).max(0.0)
     }
-
-    /// Export the per-iteration series as CSV (header + one row per
-    /// generation) for external plotting.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "iteration,best_perf_bytes_per_s,generation_best_bytes_per_s,cost_s,cumulative_cost_s,subset_size\n",
-        );
-        for r in &self.records {
-            out.push_str(&format!(
-                "{},{},{},{},{},{}\n",
-                r.iteration,
-                r.best_perf,
-                r.generation_best_perf,
-                r.cost_s,
-                r.cumulative_cost_s,
-                r.subset_size
-            ));
-        }
-        out
-    }
 }
 
 /// Everything a checkpoint writer needs to know about one finished
@@ -443,18 +423,6 @@ mod tests {
         assert!(trace.records.iter().all(|r| r.best_perf.is_finite()
             && r.generation_best_perf.is_finite()
             && r.cumulative_cost_s.is_finite()));
-    }
-
-    #[test]
-    fn csv_has_header_plus_one_row_per_iteration() {
-        let trace = run_ga(&engine(1), quick_cfg(1, 4), &mut NoStop, &mut AllParams);
-        let csv = trace.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 5);
-        assert!(lines[0].starts_with("iteration,"));
-        assert!(lines[1].starts_with("1,"));
-        // Each row has 6 comma-separated fields.
-        assert!(lines.iter().all(|l| l.split(',').count() == 6));
     }
 
     #[test]

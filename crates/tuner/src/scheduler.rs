@@ -640,7 +640,7 @@ impl CampaignObserver for WindowRows<'_> {
     }
 }
 
-pub(crate) fn nonempty(subset: Vec<ParamId>) -> Vec<ParamId> {
+fn nonempty(subset: Vec<ParamId>) -> Vec<ParamId> {
     if subset.is_empty() {
         ParamId::ALL.to_vec()
     } else {

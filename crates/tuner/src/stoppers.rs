@@ -109,58 +109,6 @@ impl Stopper for HeuristicStop {
     }
 }
 
-/// Fixed iteration budget.
-#[derive(Debug, Clone)]
-pub struct BudgetStop {
-    /// Stop after this many iterations.
-    pub max_iterations: u32,
-}
-
-impl Stopper for BudgetStop {
-    fn should_stop(&mut self, iteration: u32, _best_perf: f64) -> bool {
-        let verdict = iteration >= self.max_iterations;
-        trace::event(
-            "stop.decision",
-            vec![
-                ("stopper", "budget".into()),
-                ("iteration", iteration.into()),
-                ("stop", verdict.into()),
-            ],
-        );
-        verdict
-    }
-    fn name(&self) -> &str {
-        "budget"
-    }
-}
-
-/// Oracle used in Fig 10b's "Maximizing Performance" comparison: stops the
-/// moment best perf reaches `target` (a perfect model of "the true optimal
-/// was reached").
-#[derive(Debug, Clone)]
-pub struct MaxPerfStop {
-    /// Perf at which to stop.
-    pub target: f64,
-}
-
-impl Stopper for MaxPerfStop {
-    fn should_stop(&mut self, iteration: u32, best_perf: f64) -> bool {
-        let verdict = best_perf >= self.target;
-        trace::event(
-            "stop.decision",
-            vec![
-                ("stopper", "max-perf-oracle".into()),
-                ("iteration", iteration.into()),
-                ("stop", verdict.into()),
-            ],
-        );
-        verdict
-    }
-    fn name(&self) -> &str {
-        "max-perf-oracle"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,19 +184,5 @@ mod tests {
         );
         // window is clamped to ≥1 and the name must agree.
         assert_eq!(HeuristicStop::new(0.05, 0).name(), "heuristic-5pct-1iter");
-    }
-
-    #[test]
-    fn budget_stop_respects_budget() {
-        let mut s = BudgetStop { max_iterations: 3 };
-        assert!(!s.should_stop(2, 1.0));
-        assert!(s.should_stop(3, 1.0));
-    }
-
-    #[test]
-    fn max_perf_oracle_fires_at_target() {
-        let mut s = MaxPerfStop { target: 5.0 };
-        assert!(!s.should_stop(1, 4.9));
-        assert!(s.should_stop(2, 5.0));
     }
 }

@@ -9,6 +9,12 @@
 //! without waiting for a full generation keeps every evaluator slot
 //! busy (see [`crate::scheduler`]).
 //!
+//! Five backends implement it: the GA, random search, Latin-hypercube
+//! sampling and hill climbing here, and Bayesian optimization in
+//! [`crate::bo`]. The GA, random search and hill climbing are the
+//! baselines §II-B names ("genetic algorithms, random search, hill
+//! climbing algorithms").
+//!
 //! Every backend is held to the same conformance rules (enforced by
 //! `tests/strategy_conformance.rs`):
 //!
@@ -39,7 +45,7 @@ use tunio_params::{Configuration, ParamId, ParameterSpace};
 /// returning an empty vector while evaluations are in flight is how a
 /// strategy expresses a barrier.
 pub trait SearchStrategy {
-    /// Stable identifier (`ga`, `random`, `lhs`, `bo`).
+    /// Stable identifier (`ga`, `random`, `lhs`, `bo`, `hill`).
     fn name(&self) -> &'static str;
 
     /// Set the active parameter subset. Proposals only vary genes in
@@ -645,6 +651,198 @@ impl SearchStrategy for LhsStrategy {
         self.buffer = configs_from_genes(&state.buffer);
         self.best = Configuration::new(state.best_genes);
         self.best_perf = state.best_perf;
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Hill climbing
+// ---------------------------------------------------------------------------
+
+/// A climber's progress through its steps.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Climb {
+    steps: u32,
+    current: Configuration,
+    current_perf: f64,
+    /// Proposals queued but not yet handed out.
+    queue: Vec<Configuration>,
+    proposed: usize,
+    observed: usize,
+    neighbours: usize,
+    best_neighbour: Option<(f64, Configuration)>,
+}
+
+/// Serialized [`HillClimb`] state.
+#[derive(Debug, Serialize, Deserialize)]
+struct HillState {
+    rng: Vec<u64>,
+    subset: Vec<usize>,
+    climb: Climb,
+}
+
+/// Steepest-ascent hill climbing with random restarts, one climb step
+/// per [`HillClimb::STEP`] proposals:
+///
+/// 1. the incumbent, whose observation carries its perf (on the first
+///    step the default configuration, which the driver's baseline
+///    evaluation already cached);
+/// 2. its ±1 single-gene neighbours within the active subset, at most
+///    eight, padded with the incumbent;
+/// 3. once those are observed, the best neighbour (first listed wins
+///    ties) if it beats the incumbent, else a random restart of the
+///    subset's genes from the incumbent.
+///
+/// Run with `batch = HillClimb::STEP`, each scheduler window is one
+/// step, and because repeated keys commit at zero cost the window's cost
+/// is the step's fresh neighbour and restart simulations summed in
+/// proposal order. `propose` returns nothing while part 2 or part 3 is
+/// unobserved: the climber's barrier.
+#[derive(Debug)]
+pub struct HillClimb {
+    space: ParameterSpace,
+    rng: StdRng,
+    subset: Vec<ParamId>,
+    max_iterations: u32,
+    climb: Climb,
+}
+
+impl HillClimb {
+    /// Proposals per climb step: the incumbent, eight neighbour slots
+    /// and the move or restart.
+    pub const STEP: usize = 10;
+    const NEIGHBOURS: usize = Self::STEP - 2;
+
+    /// A climber over `space` that takes `max_iterations` steps.
+    pub fn new(space: ParameterSpace, max_iterations: u32, seed: u64) -> Self {
+        let climb = Climb {
+            steps: 0,
+            current: space.default_config(),
+            current_perf: 0.0,
+            queue: Vec::new(),
+            proposed: 0,
+            observed: 0,
+            neighbours: 0,
+            best_neighbour: None,
+        };
+        HillClimb {
+            space,
+            rng: StdRng::seed_from_u64(seed),
+            subset: ParamId::ALL.to_vec(),
+            max_iterations,
+            climb,
+        }
+    }
+
+    /// Queue parts 1 and 2 of a step.
+    fn open_step(&mut self) {
+        let current = &self.climb.current;
+        let mut queue = vec![current.clone()];
+        'outer: for &p in &self.subset {
+            for delta in [-1isize, 1] {
+                if queue.len() > Self::NEIGHBOURS {
+                    break 'outer;
+                }
+                let idx = current.gene(p) as isize + delta;
+                if idx < 0 || idx as usize >= self.space.cardinality(p) {
+                    continue;
+                }
+                let mut n = current.clone();
+                n.set_gene(p, idx as usize);
+                queue.push(n);
+            }
+        }
+        self.climb.neighbours = queue.len() - 1;
+        queue.resize(Self::NEIGHBOURS + 1, current.clone());
+        self.climb.queue = queue;
+    }
+}
+
+impl SearchStrategy for HillClimb {
+    fn name(&self) -> &'static str {
+        "hill"
+    }
+
+    fn set_subset(&mut self, subset: &[ParamId]) {
+        if !subset.is_empty() {
+            self.subset = subset.to_vec();
+        }
+    }
+
+    fn propose(&mut self, max: usize) -> Vec<Configuration> {
+        if self.is_done() {
+            return Vec::new();
+        }
+        if self.climb.proposed == 0 && self.climb.queue.is_empty() {
+            self.open_step();
+        }
+        let c = &mut self.climb;
+        let n = max.min(c.queue.len());
+        c.proposed += n;
+        c.queue.drain(..n).collect()
+    }
+
+    fn observe(&mut self, config: &Configuration, perf: f64, _cost_s: f64) {
+        if self.is_done() {
+            return;
+        }
+        let perf = sanitize(perf);
+        let c = &mut self.climb;
+        let slot = c.observed;
+        c.observed += 1;
+        if slot == 0 {
+            c.current_perf = perf;
+        } else if slot <= c.neighbours {
+            if c.best_neighbour.as_ref().is_none_or(|(bp, _)| perf > *bp) {
+                c.best_neighbour = Some((perf, config.clone()));
+            }
+        } else if slot == Self::STEP - 1 {
+            c.current = config.clone();
+            c.current_perf = perf;
+            c.steps += 1;
+            c.proposed = 0;
+            c.observed = 0;
+            return;
+        }
+        if c.observed == Self::NEIGHBOURS + 1 {
+            let next = match c.best_neighbour.take() {
+                Some((p, best)) if p > c.current_perf => best,
+                _ => {
+                    // Stuck on a local optimum: restart within the subset.
+                    let mut fresh = c.current.clone();
+                    for &p in &self.subset {
+                        fresh.set_gene(p, self.space.random_value(p, &mut self.rng));
+                    }
+                    fresh
+                }
+            };
+            c.queue.push(next);
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        self.climb.steps >= self.max_iterations
+    }
+
+    fn rng_state(&self) -> [u64; 4] {
+        self.rng.state()
+    }
+
+    fn snapshot(&self) -> String {
+        let state = HillState {
+            rng: rng_state_vec(&self.rng),
+            subset: subset_to_indices(&self.subset),
+            climb: self.climb.clone(),
+        };
+        serde_json::to_string(&state).expect("hill-climb state serializes")
+    }
+
+    fn restore(&mut self, snapshot: &str) -> Result<(), String> {
+        let state: HillState = serde_json::from_str(snapshot).map_err(|e| e.to_string())?;
+        let rng = rng_from_state_vec(&state.rng)?;
+        self.subset = subset_from_indices(&state.subset)?;
+        self.rng = rng;
+        self.climb = state.climb;
         Ok(())
     }
 }

@@ -1,8 +1,8 @@
 //! Cross-strategy conformance suite.
 //!
 //! Every [`SearchStrategy`] backend — GA, random, Latin hypercube,
-//! Bayesian optimization — must satisfy the same contract the
-//! scheduler's determinism proof rests on:
+//! Bayesian optimization, hill climbing — must satisfy the same
+//! contract the scheduler's determinism proof rests on:
 //!
 //! 1. same seed ⇒ same proposal stream, for every thread count;
 //! 2. proposals always stay inside the active reduced subspace;
@@ -13,7 +13,7 @@
 //! The suite drives each backend two ways: raw (direct
 //! `propose`/`observe` calls) and through [`run_strategy`] with a real
 //! evaluation engine, so both the trait contract and its integration
-//! hold for all four backends symmetrically.
+//! hold for all five backends symmetrically.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -21,8 +21,8 @@ use tunio_iosim::Simulator;
 use tunio_params::{Configuration, ParamId, ParameterSpace};
 use tunio_tuner::subset::FixedSubset;
 use tunio_tuner::{
-    run_strategy, AllParams, BoConfig, BoStrategy, EvalEngine, GaConfig, GaStrategy, LhsStrategy,
-    NoObserver, NoStop, RandomStrategy, SearchStrategy,
+    run_strategy, AllParams, BoConfig, BoStrategy, EvalEngine, GaConfig, GaStrategy, HillClimb,
+    LhsStrategy, NoObserver, NoStop, RandomStrategy, SearchStrategy,
 };
 use tunio_workloads::{hacc, Variant, Workload};
 
@@ -69,6 +69,13 @@ fn backends() -> Vec<(&'static str, Factory)> {
                     BoConfig::for_budget(BUDGET, BATCH, seed),
                     space(),
                 )) as Box<dyn SearchStrategy>
+            }),
+        ),
+        (
+            "hill",
+            Box::new(move |seed| {
+                let steps = BUDGET.div_ceil(HillClimb::STEP) as u32;
+                Box::new(HillClimb::new(space(), steps, seed)) as Box<dyn SearchStrategy>
             }),
         ),
     ]

@@ -21,10 +21,8 @@
 
 pub mod apps;
 pub mod features;
-pub mod from_log;
 pub mod spec;
 
 pub use apps::{all_apps, bdcats, flash, hacc, macsio_vpic_dipole, vpic};
 pub use features::WorkloadFeatures;
-pub use from_log::app_from_log;
 pub use spec::{AppSpec, IterationIo, Variant, Workload};
