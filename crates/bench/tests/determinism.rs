@@ -6,7 +6,10 @@
 //! Traces are compared through their serialized JSON, so "equal" here
 //! means equal down to the last bit of every float.
 
-use tunio::pipeline::{run_campaign, CampaignSpec, PipelineKind};
+use tunio::pipeline::{
+    run_campaign, run_strategy_campaign_opts, CampaignOptions, CampaignSpec, PipelineKind,
+    StrategyKind,
+};
 use tunio_workloads::{hacc, Variant};
 
 fn hacc_spec(kind: PipelineKind, seed: u64) -> CampaignSpec {
@@ -51,6 +54,32 @@ fn all_pipeline_kinds_replay_deterministically() {
             trace_json(&spec),
             trace_json(&spec),
             "pipeline {kind:?} must replay identically"
+        );
+    }
+}
+
+#[test]
+fn thread_count_does_not_change_the_trace() {
+    // The scheduler's evaluator slots are the one place evaluations run
+    // in parallel, and `threads` is their one knob. A TunIO campaign
+    // also runs the offline sweep and pretrains both agents, so every
+    // stage before the search is covered too.
+    let spec = hacc_spec(PipelineKind::TunIo, 13);
+    let trace_at = |threads: usize| {
+        let opts = CampaignOptions {
+            threads: Some(threads),
+            ..CampaignOptions::default()
+        };
+        let outcome = run_strategy_campaign_opts(&spec, StrategyKind::Ga, &opts)
+            .expect("fault-free campaign");
+        serde_json::to_string(&outcome.trace).expect("trace serializes")
+    };
+    let serial = trace_at(1);
+    for threads in [2, 4] {
+        assert_eq!(
+            trace_at(threads),
+            serial,
+            "{threads}-thread and 1-thread traces must match bitwise"
         );
     }
 }

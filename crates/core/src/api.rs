@@ -69,18 +69,6 @@ impl TunIo {
         tunio_discovery::discover_io(source, options)
     }
 
-    /// Lint application source with the dataflow analyses that back
-    /// `discover_io`'s default slicing path (dead stores, unreachable
-    /// code, possibly-uninitialized reads, I/O inside hot loops). The
-    /// same diagnostics are available from the `tunio-lint` binary.
-    pub fn lint_source(source: &str) -> Result<Vec<tunio_analysis::Diagnostic>, ParseError> {
-        let program = tunio_cminus::parser::parse(source)?;
-        Ok(tunio_analysis::lint_program(
-            &program,
-            &tunio_analysis::LintOptions::default(),
-        ))
-    }
-
     /// Table I `subset_picker`: given the perf achieved with the current
     /// parameter set, pick the next parameter set to tune.
     pub fn subset_picker(&mut self, perf: f64, current_parameter_set: &[ParamId]) -> Vec<ParamId> {
@@ -165,19 +153,6 @@ mod tests {
         let k = TunIo::discover_io(src, &DiscoveryOptions::default()).unwrap();
         assert!(!k.source.contains("stale"), "{}", k.source);
         assert!(k.source.contains("fresh"));
-    }
-
-    #[test]
-    fn lint_source_reports_spanned_diagnostics() {
-        let diags = TunIo::lint_source(samples::VPIC_IO).unwrap();
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.kind == tunio_analysis::LintKind::DeadStore),
-            "{diags:?}"
-        );
-        assert!(diags.iter().all(|d| d.span.is_real()));
-        assert!(TunIo::lint_source("void f( {").is_err());
     }
 
     #[test]

@@ -70,13 +70,8 @@ pub fn offline_impact_analysis(space: &ParameterSpace, seed: u64) -> ImpactAnaly
     let baselines = [space.default_config(), collective_base];
 
     // One-at-a-time sweep: rows of [12 normalized gene positions, perf].
-    // The sweep is embarrassingly parallel — (kernel, baseline, parameter)
-    // cells are independent simulator runs — so each kernel's cells are
-    // flattened into one [`EvalEngine::evaluate_batch`] call, which fans
-    // the unique configurations out across threads and memoizes repeats
-    // (every baseline reappears once per swept parameter). Results come
-    // back in input order, so rows and spreads are identical to a serial
-    // sweep.
+    // The engine memoizes repeats: every baseline reappears once per
+    // swept parameter and is simulated only the first time.
     let mut samples: Vec<Vec<f64>> = Vec::new();
     let mut spreads = vec![0.0f64; space.len()];
     for app in &kernels {
@@ -86,41 +81,30 @@ pub fn offline_impact_analysis(space: &ParameterSpace, seed: u64) -> ImpactAnaly
             space.clone(),
             3,
         );
-        // (parameter, offset-into-configs, cardinality) per sweep cell.
-        let mut cells: Vec<(ParamId, usize, usize)> = Vec::new();
-        let mut configs = Vec::new();
         for base in &baselines {
             for p in ParamId::ALL {
-                let card = space.cardinality(p);
-                cells.push((p, configs.len(), card));
-                for idx in 0..card {
+                let mut lo = f64::INFINITY;
+                let mut hi = f64::NEG_INFINITY;
+                for idx in 0..space.cardinality(p) {
                     let mut cfg = base.clone();
                     cfg.set_gene(p, idx);
-                    configs.push(cfg);
+                    let perf = normalize_perf(engine.evaluate(&cfg).perf, &cluster);
+                    lo = lo.min(perf);
+                    hi = hi.max(perf);
+                    let mut row: Vec<f64> = cfg
+                        .genes()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &g)| {
+                            g as f64
+                                / (space.descriptors()[i].domain.cardinality() - 1).max(1) as f64
+                        })
+                        .collect();
+                    row.push(perf);
+                    samples.push(row);
                 }
+                spreads[p.index()] += hi - lo;
             }
-        }
-        let evals = engine.evaluate_batch(&configs);
-        for (p, start, card) in cells {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for e in &evals[start..start + card] {
-                let perf = normalize_perf(e.perf, &cluster);
-                lo = lo.min(perf);
-                hi = hi.max(perf);
-                let mut row: Vec<f64> = e
-                    .config
-                    .genes()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &g)| {
-                        g as f64 / (space.descriptors()[i].domain.cardinality() - 1).max(1) as f64
-                    })
-                    .collect();
-                row.push(perf);
-                samples.push(row);
-            }
-            spreads[p.index()] += hi - lo;
         }
     }
 

@@ -26,7 +26,10 @@
 //! xoshiro stream, and the full state (networks included) serializes
 //! through [`SearchStrategy::snapshot`].
 
-use crate::strategy::{sanitize, SearchStrategy};
+use crate::strategy::{
+    rng_from_state_vec, rng_state_vec, sanitize, subset_from_indices, subset_to_indices,
+    SearchStrategy,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -323,8 +326,8 @@ impl SearchStrategy for BoStrategy {
 
     fn snapshot(&self) -> String {
         let state = BoState {
-            rng: self.rng.state().to_vec(),
-            subset: self.subset.iter().map(|p| p.index()).collect(),
+            rng: rng_state_vec(&self.rng),
+            subset: subset_to_indices(&self.subset),
             xs: self.xs.clone(),
             ys: self.ys.clone(),
             open: self.open.clone(),
@@ -339,29 +342,12 @@ impl SearchStrategy for BoStrategy {
 
     fn restore(&mut self, snapshot: &str) -> Result<(), String> {
         let state: BoState = serde_json::from_str(snapshot).map_err(|e| e.to_string())?;
-        if state.rng.len() != 4 {
-            return Err(format!(
-                "rng state must have 4 words, got {}",
-                state.rng.len()
-            ));
-        }
-        if state.rng.iter().all(|&w| w == 0) {
-            return Err("rng state is all zeros (xoshiro fixed point)".into());
-        }
         if state.xs.len() != state.ys.len() {
             return Err("xs/ys length mismatch".into());
         }
-        self.rng = StdRng::from_state([state.rng[0], state.rng[1], state.rng[2], state.rng[3]]);
-        self.subset = state
-            .subset
-            .iter()
-            .map(|&i| {
-                ParamId::ALL
-                    .get(i)
-                    .copied()
-                    .ok_or_else(|| format!("subset index {i} out of range"))
-            })
-            .collect::<Result<_, String>>()?;
+        let rng = rng_from_state_vec(&state.rng)?;
+        self.subset = subset_from_indices(&state.subset)?;
+        self.rng = rng;
         self.xs = state.xs;
         self.ys = state.ys;
         self.open = state.open;

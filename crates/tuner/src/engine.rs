@@ -1,11 +1,10 @@
-//! Parallel, deterministic configuration evaluation.
+//! Deterministic, memoizing configuration evaluation.
 //!
-//! [`EvalEngine`] replaces the original single-threaded `Evaluator`: it
-//! evaluates whole batches of configurations concurrently (one rayon task
-//! per cache-missing configuration) behind a sharded, lock-protected memo
-//! cache, while producing results that are **bitwise identical** to a
-//! serial evaluation in batch order, regardless of thread count or
-//! completion order.
+//! [`EvalEngine`] evaluates one configuration per call behind a sharded,
+//! lock-protected memo cache. Every method takes `&self`, so the
+//! strategy scheduler's evaluator slots — the one place evaluations run
+//! in parallel — share a single engine, and its results are **bitwise
+//! identical** for any thread count or completion order.
 //!
 //! Determinism rests on three properties:
 //!
@@ -14,14 +13,14 @@
 //!    `tunio_iosim::noise` — so a configuration's report is a pure
 //!    function of `(sim, config, repeats)`. Nothing about scheduling can
 //!    change it.
-//! 2. **Ordered assembly.** [`EvalEngine::evaluate_batch`] returns results
-//!    in input order (the shim rayon's indexed `collect` preserves order,
-//!    as real rayon's does), and all counter/cost bookkeeping happens in
-//!    that order after the parallel section.
-//! 3. **Serial-equivalent cost accounting.** Within a batch, the *first*
-//!    occurrence of an uncached gene key is charged one run's elapsed
-//!    time; later duplicates and cache hits are free — exactly what a
-//!    serial memoized loop over the same batch would charge.
+//! 2. **One simulation per key.** A miss plants an in-flight marker
+//!    before it simulates; a concurrent caller presenting the same gene
+//!    key waits for that result instead of simulating again.
+//! 3. **Memoized cost accounting.** The evaluation that simulates a key
+//!    is charged one run's elapsed time; cache hits cost zero — what a
+//!    serial memoized loop would charge. The scheduler never dispatches
+//!    a key twice and commits in proposal order, so which proposal pays
+//!    is a pure function of the proposal stream.
 //!
 //! The pooled per-layer profile is kept per key and summed in key order
 //! ([`EvalEngine::profile_snapshot`]), so it too is independent of which
@@ -33,7 +32,6 @@
 
 use crate::racing::{Moments, RaceDiscard, RaceOutcome, RacingConfig, RacingCounters};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,7 +63,8 @@ pub struct Evaluation {
 pub struct EvalCounters {
     /// Simulator evaluations actually performed (cache misses).
     pub evaluations: u64,
-    /// Memoized lookups served (including within-batch duplicates).
+    /// Memoized lookups served (including callers that waited on an
+    /// in-flight simulation of the same key).
     pub cache_hits: u64,
     /// Simulated tuning time charged to the budget, seconds.
     pub charged_cost_s: f64,
@@ -92,10 +91,6 @@ pub struct FailurePolicy {
     /// Retries per evaluation after the first attempt (so `max_retries`
     /// = 2 means up to three simulation attempts).
     pub max_retries: u32,
-    /// Base backoff between retries, milliseconds; doubles per retry.
-    /// Zero (the default) skips sleeping — simulated stacks need no
-    /// real-time courtesy, and tests stay fast.
-    pub backoff_base_ms: u64,
     /// Consecutive failed evaluations before a key is quarantined.
     pub quarantine_after: u32,
     /// Objective value served for unrecoverable evaluations. Must be
@@ -107,7 +102,6 @@ impl Default for FailurePolicy {
     fn default() -> Self {
         FailurePolicy {
             max_retries: 2,
-            backoff_base_ms: 0,
             quarantine_after: 2,
             penalty_perf: 0.0,
         }
@@ -294,9 +288,8 @@ impl Drop for PendingGuard<'_> {
 /// Thread-safe, memoizing configuration evaluator.
 ///
 /// All methods take `&self`; the engine can be shared freely across
-/// threads. Prefer [`EvalEngine::evaluate_batch`] for a generation's
-/// population — it deduplicates, fans the cache misses out across rayon
-/// workers, and reassembles results in input order.
+/// threads, and the scheduler's evaluator slots call
+/// [`EvalEngine::evaluate`] concurrently.
 #[derive(Debug)]
 pub struct EvalEngine {
     /// The simulated machine.
@@ -567,10 +560,6 @@ impl EvalEngine {
                                 ("reason", reason.into()),
                             ],
                         );
-                        let backoff = self.policy.backoff_base_ms << t;
-                        if backoff > 0 {
-                            std::thread::sleep(std::time::Duration::from_millis(backoff));
-                        }
                     }
                 }
             }
@@ -621,8 +610,8 @@ impl EvalEngine {
     }
 
     /// Record a charged cache insertion into the checkpoint journal, when
-    /// journaling is enabled. Called only from serial accounting sections,
-    /// so entry order is deterministic.
+    /// journaling is enabled. Entries land in completion order; the
+    /// checkpoint writer files them by the scheduler's commit order.
     fn journal_push(&self, key: &[usize], report: &RunReport, perf: f64, profile: &Profile) {
         if let Some(journal) = self.journal.lock().as_mut() {
             // Raced keys carry their (sample count, M2) so a resumed
@@ -677,14 +666,6 @@ impl EvalEngine {
         }
     }
 
-    /// Drop a cached result, forcing the next evaluation of the key to
-    /// re-simulate. Intended for cache management in long campaigns; the
-    /// batch path also survives a concurrent eviction by falling back to
-    /// re-simulation.
-    pub fn evict(&self, key: &[usize]) {
-        self.shards[Self::shard_of(key)].lock().remove(key);
-    }
-
     /// Record one charged evaluation's profile under its key and in the
     /// per-layer self-time histograms.
     fn charge_profile(&self, key: &[usize], profile: &Profile) {
@@ -699,23 +680,6 @@ impl EvalEngine {
             .entry(key.to_vec())
             .or_default()
             .absorb(profile);
-    }
-
-    /// Look the key up; if some thread is mid-simulation on it, wait for
-    /// that result instead of recomputing.
-    fn lookup_or_wait(&self, key: &[usize]) -> Option<(RunReport, f64)> {
-        let found = {
-            let shard = self.shards[Self::shard_of(key)].lock();
-            match shard.get(key) {
-                Some(Slot::Ready(report, perf)) => return Some((*report, *perf)),
-                Some(Slot::Pending(inflight)) => Some(inflight.clone()),
-                // A replay slot still owes its charge: report no result so
-                // the caller goes through the claiming path, which does
-                // the miss bookkeeping.
-                Some(Slot::Replay(_)) | None => None,
-            }
-        };
-        found.map(|inflight| inflight.wait())
     }
 
     /// Evaluate a single configuration (memoized).
@@ -761,7 +725,6 @@ impl EvalEngine {
             Claim::Join(inflight) => inflight.wait(),
             Claim::Replayed(entry) => {
                 let (report, perf, profile) = *entry;
-                *self.charged_cost_s.lock() += report.elapsed_s;
                 return self.charge_miss(config, &key, report, perf, &profile);
             }
             Claim::Claimed(inflight) => {
@@ -780,7 +743,6 @@ impl EvalEngine {
                             .lock()
                             .insert(key.clone(), Slot::Ready(report, perf));
                         inflight.publish((report, perf));
-                        *self.charged_cost_s.lock() += report.elapsed_s;
                         return self.charge_miss(config, &key, report, perf, &profile);
                     }
                     SimOutcome::Failed => {
@@ -803,10 +765,8 @@ impl EvalEngine {
         }
     }
 
-    /// Miss bookkeeping for one charged evaluation: counters, profile
-    /// accumulator, checkpoint journal. Serial-section only. The caller
-    /// owns the `charged_cost_s` fold (batches sum locally and fold once,
-    /// preserving the serial float-accumulation order).
+    /// Miss bookkeeping for one charged evaluation: charged cost,
+    /// counters, profile accumulator, checkpoint journal.
     fn charge_miss(
         &self,
         config: &Configuration,
@@ -815,6 +775,7 @@ impl EvalEngine {
         perf: f64,
         profile: &Profile,
     ) -> Evaluation {
+        *self.charged_cost_s.lock() += report.elapsed_s;
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         self.m_misses.inc(1);
         self.m_cost.record(report.elapsed_s);
@@ -826,120 +787,6 @@ impl EvalEngine {
             perf,
             cost_s: report.elapsed_s,
         }
-    }
-
-    /// Evaluate a batch of configurations, simulating cache misses in
-    /// parallel. Results come back in input order and are bitwise
-    /// identical to evaluating the batch serially in that order:
-    /// the first occurrence of each uncached gene key is charged one
-    /// run's elapsed time, everything else costs zero.
-    pub fn evaluate_batch(&self, configs: &[Configuration]) -> Vec<Evaluation> {
-        let keys: Vec<Vec<usize>> = configs.iter().map(|c| c.genes().to_vec()).collect();
-
-        // Classify the first occurrence of each gene key: quarantined
-        // (circuit open, never simulated), checkpoint-replayed (converted
-        // to Ready here, charged below in input order), fresh (needs the
-        // simulator), or already cached.
-        let mut seen: HashMap<&[usize], usize> = HashMap::with_capacity(configs.len());
-        let mut fresh: Vec<usize> = Vec::new();
-        let mut quarantined: Vec<usize> = Vec::new();
-        let mut replayed: HashMap<usize, (RunReport, f64, Profile)> = HashMap::new();
-        for (i, key) in keys.iter().enumerate() {
-            if seen.contains_key(key.as_slice()) {
-                continue;
-            }
-            seen.insert(key, i);
-            if self.is_quarantined(key) {
-                quarantined.push(i);
-                continue;
-            }
-            let mut shard = self.shards[Self::shard_of(key)].lock();
-            match shard.get(key) {
-                None => fresh.push(i),
-                Some(Slot::Replay(_)) => {
-                    let Some(Slot::Replay(entry)) = shard.remove(key) else {
-                        unreachable!("matched Replay under the same lock");
-                    };
-                    shard.insert(key.clone(), Slot::Ready(entry.0, entry.1));
-                    replayed.insert(i, *entry);
-                }
-                Some(_) => {}
-            }
-        }
-
-        // Fan the misses out; order-preserving collect keeps sims[j]
-        // aligned with fresh[j]. Retry/quarantine bookkeeping is per-key,
-        // so outcomes stay deterministic under any interleaving. The
-        // caller's causal context is re-installed inside each rayon
-        // worker so eval spans stay in the campaign's trace.
-        let ctx = trace::current();
-        let sims: Vec<SimOutcome> = fresh
-            .par_iter()
-            .map(|&i| {
-                let _ctx = trace::with_context(ctx);
-                self.simulate_resilient(&configs[i])
-            })
-            .collect();
-
-        // Publish successes; failures stay uncached so they retry on the
-        // next encounter. `penalized` serves this batch's duplicates of a
-        // failed or quarantined key.
-        let mut fresh_results: HashMap<&[usize], (RunReport, f64)> = HashMap::new();
-        let mut penalized: std::collections::HashSet<&[usize]> = std::collections::HashSet::new();
-        for (&i, outcome) in fresh.iter().zip(&sims) {
-            match outcome {
-                SimOutcome::Success(report, _, perf) => {
-                    self.shards[Self::shard_of(&keys[i])]
-                        .lock()
-                        .insert(keys[i].clone(), Slot::Ready(*report, *perf));
-                    fresh_results.insert(keys[i].as_slice(), (*report, *perf));
-                }
-                SimOutcome::Failed => {
-                    penalized.insert(keys[i].as_slice());
-                }
-            }
-        }
-        for &i in &quarantined {
-            penalized.insert(keys[i].as_slice());
-        }
-
-        // All bookkeeping in input order — bitwise identical to a serial
-        // memoized loop over the same batch.
-        let mut out = Vec::with_capacity(configs.len());
-        let mut charged = 0.0;
-        for (i, config) in configs.iter().enumerate() {
-            let key = keys[i].as_slice();
-            if let Ok(j) = fresh.binary_search(&i) {
-                match &sims[j] {
-                    SimOutcome::Success(report, profile, perf) => {
-                        charged += report.elapsed_s;
-                        out.push(self.charge_miss(config, key, *report, *perf, profile));
-                    }
-                    SimOutcome::Failed => out.push(self.penalty_evaluation(config)),
-                }
-            } else if let Some((report, perf, profile)) = replayed.get(&i) {
-                charged += report.elapsed_s;
-                out.push(self.charge_miss(config, key, *report, *perf, profile));
-            } else if penalized.contains(key) {
-                out.push(self.penalty_evaluation(config));
-            } else if let Some((report, perf)) = self.lookup_or_wait(key) {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                self.m_hits.inc(1);
-                out.push(Evaluation {
-                    config: config.clone(),
-                    report,
-                    perf,
-                    cost_s: 0.0,
-                });
-            } else {
-                // The entry vanished between classification and assembly
-                // (eviction). Recover by re-simulating through the normal
-                // claim path, which does its own bookkeeping.
-                out.push(self.evaluate(config));
-            }
-        }
-        *self.charged_cost_s.lock() += charged;
-        out
     }
 
     /// Number of simulator evaluations actually performed (cache misses).
@@ -1198,7 +1045,6 @@ impl EvalEngine {
         self.race_meta
             .lock()
             .insert(key.clone(), (samples, state.perfs.m2));
-        *self.charged_cost_s.lock() += report.elapsed_s;
         let eval = self.charge_miss(config, &key, report, mean, &profile);
         Some(RaceOutcome {
             perf: mean,
@@ -1226,6 +1072,19 @@ mod tests {
             ParameterSpace::tunio_default(),
             3,
         )
+    }
+
+    fn evaluate_serially(ev: &EvalEngine, configs: &[Configuration]) -> Vec<Evaluation> {
+        configs.iter().map(|c| ev.evaluate(c)).collect()
+    }
+
+    /// One thread per configuration, as the scheduler's evaluator slots
+    /// would run them; results come back in input order.
+    fn evaluate_concurrently(ev: &EvalEngine, configs: &[Configuration]) -> Vec<Evaluation> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = configs.iter().map(|c| s.spawn(|| ev.evaluate(c))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
     }
 
     #[test]
@@ -1285,26 +1144,29 @@ mod tests {
             c.set_gene(tunio_params::ParamId::StripingFactor, v);
             configs.push(c);
         }
-        // Duplicate an earlier entry to exercise within-batch dedup.
+        // Duplicate an earlier entry to exercise concurrent dedup.
         configs.push(configs[1].clone());
 
-        let batch = engine().evaluate_batch(&configs);
+        let batch_engine = engine();
+        let batch = evaluate_concurrently(&batch_engine, &configs);
         let serial_engine = engine();
-        let serial: Vec<Evaluation> = configs.iter().map(|c| serial_engine.evaluate(c)).collect();
+        let serial = evaluate_serially(&serial_engine, &configs);
 
         assert_eq!(batch.len(), serial.len());
         for (b, s) in batch.iter().zip(&serial) {
             assert_eq!(b.perf, s.perf, "perf must be bitwise identical");
             assert_eq!(b.report, s.report, "reports must be bitwise identical");
-            assert_eq!(b.cost_s, s.cost_s, "cost accounting must match serial");
         }
+        // Which duplicate pays depends on timing; how many pay does not.
+        assert_eq!(batch_engine.evaluations(), serial_engine.evaluations());
+        assert_eq!(batch_engine.cache_hits(), serial_engine.cache_hits());
     }
 
     #[test]
     fn batch_dedups_and_charges_only_first_occurrence() {
         let ev = engine();
         let cfg = ev.space.default_config();
-        let batch = ev.evaluate_batch(&[cfg.clone(), cfg.clone(), cfg]);
+        let batch = evaluate_serially(&ev, &[cfg.clone(), cfg.clone(), cfg]);
         assert_eq!(ev.evaluations(), 1, "one unique key, one simulation");
         assert_eq!(ev.cache_hits(), 2);
         assert!(batch[0].cost_s > 0.0);
@@ -1423,11 +1285,9 @@ mod tests {
         configs.push(configs[2].clone()); // duplicate: charged once
 
         let batch_engine = engine();
-        batch_engine.evaluate_batch(&configs);
+        evaluate_concurrently(&batch_engine, &configs);
         let serial_engine = engine();
-        for c in &configs {
-            serial_engine.evaluate(c);
-        }
+        evaluate_serially(&serial_engine, &configs);
         assert_eq!(
             batch_engine.profile_snapshot(),
             serial_engine.profile_snapshot(),
@@ -1485,8 +1345,8 @@ mod tests {
         let configs = mutant_batch(&ParameterSpace::tunio_default(), 6);
         let plain = engine();
         let armed = engine_with_plan(FaultPlan::disabled(99));
-        let a = plain.evaluate_batch(&configs);
-        let b = armed.evaluate_batch(&configs);
+        let a = evaluate_serially(&plain, &configs);
+        let b = evaluate_serially(&armed, &configs);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.perf, y.perf);
             assert_eq!(x.report, y.report);
@@ -1511,7 +1371,7 @@ mod tests {
             ..FailurePolicy::default()
         });
         let configs = mutant_batch(&ev.space.clone(), 12);
-        let out = ev.evaluate_batch(&configs);
+        let out = evaluate_serially(&ev, &configs);
         let r = ev.resilience();
         assert!(r.faults_injected > 0, "chaos plan must fire at this rate");
         assert!(r.retries > 0, "some attempt must have been retried");
@@ -1559,11 +1419,6 @@ mod tests {
         assert_eq!(ev.resilience().faults_injected, faults_before);
         assert_eq!(ev.resilience().penalties_served, 3);
         assert_eq!(ev.evaluations(), 0, "nothing was ever charged");
-
-        // Batches serve the open breaker the same way.
-        let batch = ev.evaluate_batch(&[cfg.clone(), cfg]);
-        assert!(batch.iter().all(|e| e.perf == ev.policy.penalty_perf));
-        assert_eq!(ev.resilience().faults_injected, faults_before);
     }
 
     #[test]
@@ -1576,7 +1431,7 @@ mod tests {
         };
         let ev = engine_with_plan(plan);
         let configs = mutant_batch(&ev.space.clone(), 4);
-        for e in ev.evaluate_batch(&configs) {
+        for e in evaluate_serially(&ev, &configs) {
             assert!(e.perf.is_finite(), "NaN must never escape: {}", e.perf);
             assert_eq!(e.perf, ev.policy.penalty_perf);
             assert!(e.report.is_sane(), "penalty report is the zero report");
@@ -1591,14 +1446,14 @@ mod tests {
 
         let live = engine();
         live.enable_journal();
-        let live_out = live.evaluate_batch(&configs);
+        let live_out = evaluate_serially(&live, &configs);
         let entries = live.drain_journal();
         assert_eq!(entries.len() as u64, live.evaluations());
         assert!(live.drain_journal().is_empty(), "drain takes everything");
 
         let resumed = engine();
         resumed.preload(entries);
-        let resumed_out = resumed.evaluate_batch(&configs);
+        let resumed_out = evaluate_serially(&resumed, &configs);
 
         for (a, b) in live_out.iter().zip(&resumed_out) {
             assert_eq!(a.perf, b.perf);
@@ -1611,63 +1466,12 @@ mod tests {
         assert_eq!(cl.charged_cost_s, cr.charged_cost_s);
         assert_eq!(
             cr.sim_wall_s, 0.0,
-            "a fully replayed batch never runs the simulator"
+            "a fully replayed sequence never runs the simulator"
         );
         assert_eq!(
             live.profile_snapshot(),
             resumed.profile_snapshot(),
             "replayed profile accumulator must be bitwise identical"
-        );
-    }
-
-    /// Regression test for the old `.expect("key was cached before the
-    /// batch")` panic: if a cached entry is evicted between a batch's
-    /// classification and its assembly, the batch must recover by
-    /// re-simulating instead of crashing.
-    #[test]
-    fn batch_survives_eviction_between_classification_and_assembly() {
-        use std::sync::mpsc;
-
-        let ev = engine();
-        let cached = ev.space.default_config();
-        let cached_key = cached.genes().to_vec();
-        let first = ev.evaluate(&cached);
-
-        let mut fresh_cfg = ev.space.default_config();
-        fresh_cfg.set_gene(tunio_params::ParamId::StripingFactor, 5);
-        let fresh_key = fresh_cfg.genes().to_vec();
-
-        let (hit_tx, hit_rx) = mpsc::channel::<()>();
-        let (go_tx, go_rx) = mpsc::channel::<()>();
-        let go_rx = std::sync::Mutex::new(go_rx);
-        *ev.sim_gate.0.lock().unwrap() = Some(Arc::new(move |key: &[usize]| {
-            if key == fresh_key.as_slice() {
-                hit_tx.send(()).ok();
-                go_rx.lock().unwrap().recv().ok();
-            }
-        }));
-
-        std::thread::scope(|s| {
-            let evr = &ev;
-            let cached_key = cached_key.clone();
-            s.spawn(move || {
-                // While the batch is mid-parallel-phase (after it classified
-                // `cached` as already Ready), evict that entry.
-                hit_rx.recv().expect("fresh key entered the simulator");
-                evr.evict(&cached_key);
-                go_tx.send(()).expect("resume the batch");
-            });
-            let out = ev.evaluate_batch(&[cached.clone(), fresh_cfg.clone()]);
-            assert_eq!(
-                out[0].perf, first.perf,
-                "eviction recovery must re-simulate to the same result"
-            );
-            assert!(out[1].perf > 0.0);
-        });
-        assert_eq!(
-            ev.evaluations(),
-            3,
-            "original + fresh + the re-simulation that replaced the eviction"
         );
     }
 

@@ -93,11 +93,6 @@ impl Moments {
             z * (self.variance() / self.n as f64).sqrt()
         }
     }
-
-    /// Rebuild moments persisted as `(n, mean, m2)` — the WAL encoding.
-    pub fn from_parts(n: u64, mean: f64, m2: f64) -> Self {
-        Moments { n, mean, m2 }
-    }
 }
 
 /// What settling a raced key decided, surfaced so the scheduler can
@@ -185,17 +180,6 @@ mod tests {
         m.push(10.0);
         m.push(12.0);
         assert!(m.half_width(2.0) < at2);
-    }
-
-    #[test]
-    fn moments_round_trip_through_parts() {
-        let mut m = Moments::default();
-        for x in [1.0, 2.0, 3.5, 2.25] {
-            m.push(x);
-        }
-        let back = Moments::from_parts(m.n, m.mean, m.m2);
-        assert_eq!(m, back);
-        assert_eq!(m.variance(), back.variance());
     }
 
     #[test]

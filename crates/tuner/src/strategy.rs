@@ -96,11 +96,11 @@ pub fn sanitize(value: f64) -> f64 {
     }
 }
 
-fn rng_state_vec(rng: &StdRng) -> Vec<u64> {
+pub(crate) fn rng_state_vec(rng: &StdRng) -> Vec<u64> {
     rng.state().to_vec()
 }
 
-fn rng_from_state_vec(state: &[u64]) -> Result<StdRng, String> {
+pub(crate) fn rng_from_state_vec(state: &[u64]) -> Result<StdRng, String> {
     if state.len() != 4 {
         return Err(format!("rng state must have 4 words, got {}", state.len()));
     }
@@ -113,11 +113,11 @@ fn rng_from_state_vec(state: &[u64]) -> Result<StdRng, String> {
     Ok(StdRng::from_state([state[0], state[1], state[2], state[3]]))
 }
 
-fn subset_to_indices(subset: &[ParamId]) -> Vec<usize> {
+pub(crate) fn subset_to_indices(subset: &[ParamId]) -> Vec<usize> {
     subset.iter().map(|p| p.index()).collect()
 }
 
-fn subset_from_indices(indices: &[usize]) -> Result<Vec<ParamId>, String> {
+pub(crate) fn subset_from_indices(indices: &[usize]) -> Result<Vec<ParamId>, String> {
     indices
         .iter()
         .map(|&i| {
@@ -347,8 +347,9 @@ impl SearchStrategy for GaStrategy {
         if state.scored_perf.len() != state.scored_genes.len() {
             return Err("scored perf/genes length mismatch".into());
         }
-        self.rng = rng_from_state_vec(&state.rng)?;
+        let rng = rng_from_state_vec(&state.rng)?;
         self.subset = subset_from_indices(&state.subset)?;
+        self.rng = rng;
         self.population = configs_from_genes(&state.population);
         self.next_propose = state.next_propose;
         self.scored = state
@@ -476,8 +477,9 @@ impl SearchStrategy for RandomStrategy {
 
     fn restore(&mut self, snapshot: &str) -> Result<(), String> {
         let state: RandomState = serde_json::from_str(snapshot).map_err(|e| e.to_string())?;
-        self.rng = rng_from_state_vec(&state.rng)?;
+        let rng = rng_from_state_vec(&state.rng)?;
         self.subset = subset_from_indices(&state.subset)?;
+        self.rng = rng;
         self.proposed = state.proposed;
         self.best = Configuration::new(state.best_genes);
         self.best_perf = state.best_perf;
@@ -645,8 +647,9 @@ impl SearchStrategy for LhsStrategy {
 
     fn restore(&mut self, snapshot: &str) -> Result<(), String> {
         let state: LhsState = serde_json::from_str(snapshot).map_err(|e| e.to_string())?;
-        self.rng = rng_from_state_vec(&state.rng)?;
+        let rng = rng_from_state_vec(&state.rng)?;
         self.subset = subset_from_indices(&state.subset)?;
+        self.rng = rng;
         self.proposed = state.proposed;
         self.buffer = configs_from_genes(&state.buffer);
         self.best = Configuration::new(state.best_genes);

@@ -349,6 +349,22 @@ fn restore_rejects_garbage_snapshots() {
             s.restore("{}").is_err(),
             "{label}: empty object must be rejected"
         );
+        // Valid RNG words (another seed's) but an out-of-range subset
+        // index: validation must finish before any field is assigned.
+        let Ok(serde_json::Value::Object(mut fields)) = serde_json::from_str(&make(44).snapshot())
+        else {
+            panic!("{label}: snapshots are JSON objects");
+        };
+        for (key, value) in &mut fields {
+            if key == "subset" {
+                *value = serde_json::json!([0, 99]);
+            }
+        }
+        let bad = serde_json::to_string(&serde_json::Value::Object(fields)).unwrap();
+        assert!(
+            s.restore(&bad).is_err(),
+            "{label}: an out-of-range subset index must be rejected"
+        );
         assert_eq!(
             s.snapshot(),
             before,
