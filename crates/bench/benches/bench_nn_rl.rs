@@ -2,12 +2,14 @@
 //!
 //! The RL agents run inside the tuning loop (one subset decision and one
 //! stop decision per generation) and during offline pre-training; these
-//! benches quantify both, plus the PCA used in offline impact analysis.
+//! benches quantify both, down to the single TD update that pre-training
+//! repeats some 10⁵ times, plus the PCA used in offline impact analysis.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use tunio::EarlyStopAgent;
 use tunio_nn::{Activation, Network, Optimizer, Pca};
 use tunio_rl::logcurve::LogCurveEnv;
 use tunio_rl::qlearn::{QAgent, QConfig};
@@ -29,6 +31,17 @@ fn bench_network(c: &mut Criterion) {
     });
     group.bench_function("train_step_12x24x4", |b| {
         b.iter(|| black_box(net.train_step(black_box(&x), &y)))
+    });
+    // The stop agent's Q-network shape: every offline TD update runs it.
+    let mut q = Network::new(
+        &[4, 24, 2],
+        &[Activation::Tanh, Activation::Linear],
+        Optimizer::Adam { lr: 0.01 },
+        &mut rng,
+    );
+    let state = vec![0.5, 0.1, 0.3, 0.7];
+    group.bench_function("td_update_4x24x2", |b| {
+        b.iter(|| black_box(q.td_update(black_box(&state), 1, 0.25)))
     });
     group.finish();
 }
@@ -60,6 +73,16 @@ fn bench_qagent(c: &mut Criterion) {
             let mut env = LogCurveEnv::new(30, 0.012, 3);
             let mut a = QAgent::new(4, 2, QConfig::default(), 9);
             black_box(a.train(&mut env, 50, 31))
+        })
+    });
+    // Offline pretraining of the early-stop agent, the largest share of a
+    // cold `tunio-tune` campaign: a fresh seed per iteration, as no
+    // pretraining cache can serve a new seed.
+    let mut seed = 0;
+    group.bench_function("early_stop_pretrained_30", |b| {
+        b.iter(|| {
+            seed += 1;
+            black_box(EarlyStopAgent::pretrained(30, seed).offline_episodes)
         })
     });
     group.finish();

@@ -63,7 +63,8 @@ impl ContextObserver {
     /// Restore weights exported with [`Self::export_json`].
     pub fn import_json(&mut self, json: &str) -> Result<(), String> {
         let net: tunio_nn::Network = serde_json::from_str(json).map_err(|e| e.to_string())?;
-        if net.output_dim() != self.obs_dim {
+        net.check_shape()?;
+        if net.input_dim() != self.embed.input_dim() || net.output_dim() != self.obs_dim {
             return Err("observer shape mismatch".into());
         }
         self.embed = net;
@@ -133,8 +134,10 @@ mod persistence_tests {
         for (x, y) in b.observe(&[0.2, 0.4, 0.6]).iter().zip(&obs) {
             assert!((x - y).abs() < 1e-12, "{x} vs {y}");
         }
-        // Shape mismatch rejected.
+        // Shape mismatch rejected, on either side.
         let mut c = ContextObserver::new(3, 5, 0);
         assert!(c.import_json(&a.export_json()).is_err());
+        let mut d = ContextObserver::new(2, 4, 0);
+        assert!(d.import_json(&a.export_json()).is_err());
     }
 }

@@ -4,6 +4,7 @@ use crate::env::Env;
 use crate::replay::{ReplayBuffer, Transition};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::LazyLock;
 use tunio_nn::{Activation, Network, Optimizer};
 use tunio_trace as trace;
 
@@ -95,6 +96,7 @@ impl QAgent {
     pub fn import_json(&mut self, json: &str) -> Result<(), String> {
         let (net, _): (Network, Option<Network>) =
             serde_json::from_str(json).map_err(|e| e.to_string())?;
+        net.check_shape()?;
         if net.input_dim() != self.net.input_dim() || net.output_dim() != self.net.output_dim() {
             return Err("network shape mismatch".into());
         }
@@ -127,26 +129,35 @@ impl QAgent {
     /// the order of 10⁵ times), so it only touches atomic metrics —
     /// never per-step trace events.
     pub fn observe(&mut self, t: Transition) {
-        trace::counter("tunio.rl.observations").inc(1);
-        trace::histogram("tunio.rl.reward").record(t.reward);
+        // Resolved once: a registry lookup takes a lock and builds a key.
+        // `trace::reset_metrics` zeroes series in place, so the handles
+        // stay live.
+        static OBSERVATIONS: LazyLock<trace::Counter> =
+            LazyLock::new(|| trace::counter("tunio.rl.observations"));
+        static REWARD: LazyLock<trace::Histogram> =
+            LazyLock::new(|| trace::histogram("tunio.rl.reward"));
+        OBSERVATIONS.inc(1);
+        REWARD.record(t.reward);
         self.replay.push(t);
         self.learn_batch();
     }
 
-    /// One TD(0) learning sweep over a sampled minibatch. The sampled
-    /// transitions are borrowed from the replay buffer, and each update
-    /// runs the network once on the state for both the target and the
-    /// gradient ([`Network::td_update`]).
+    /// One TD(0) learning sweep over a minibatch drawn from the replay
+    /// buffer. Each transition is drawn, borrowed and learned from in
+    /// turn, so the sweep allocates nothing; the draws are the same as
+    /// sampling the whole minibatch first, since learning never touches
+    /// the RNG. Each update takes the best next-state value from
+    /// [`Network::max_output`] and runs the network once on the state for
+    /// both the target and the gradient ([`Network::td_update`]).
     fn learn_batch(&mut self) {
-        let batch = self.replay.sample(self.cfg.batch, &mut self.rng);
-        for t in batch {
+        for _ in 0..self.cfg.batch {
+            let Some(t) = self.replay.sample_one(&mut self.rng) else {
+                return;
+            };
             let future = if t.done || t.next_state.is_empty() {
                 0.0
             } else {
-                self.net
-                    .forward(t.next_state)
-                    .into_iter()
-                    .fold(f64::NEG_INFINITY, f64::max)
+                self.net.max_output(t.next_state)
             };
             self.net
                 .td_update(t.state, t.action, t.reward + self.cfg.gamma * future);
@@ -362,5 +373,21 @@ mod tests {
         let mut b = QAgent::new(4, 2, QConfig::default(), 2);
         assert!(b.import_json(&a.export_json()).is_err());
         assert!(b.import_json("not json").is_err());
+    }
+
+    #[test]
+    fn import_rejects_a_network_missing_a_weight() {
+        let a = QAgent::new(3, 2, QConfig::default(), 1);
+        let json = a.export_json();
+        // Drop the first weight of the first layer: the dimensions still
+        // match, but the weight matrix is one entry short.
+        let start = json.find(r#""w":["#).unwrap() + r#""w":["#.len();
+        let comma = start + json[start..].find(',').unwrap();
+        let truncated = format!("{}{}", &json[..start], &json[comma + 1..]);
+        let mut b = QAgent::new(3, 2, QConfig::default(), 2);
+        let before = b.q_values(&[0.1, 0.2, 0.3]);
+        let err = b.import_json(&truncated).unwrap_err();
+        assert!(err.contains("w has 71 entries, want 72"), "{err}");
+        assert_eq!(b.q_values(&[0.1, 0.2, 0.3]), before);
     }
 }
