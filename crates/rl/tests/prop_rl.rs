@@ -58,10 +58,9 @@ impl Pair {
     fn agrees(&self, seed: u64, n: usize) -> Result<(), TestCaseError> {
         let stored: Vec<Transition> = self.0.iter().map(|t| t.to_transition()).collect();
         prop_assert_eq!(&stored, &self.1.items);
-        let got: Vec<Transition> = self
-            .0
-            .sample(n, &mut StdRng::seed_from_u64(seed))
-            .iter()
+        let mut rng = StdRng::seed_from_u64(seed);
+        let got: Vec<Transition> = (0..n)
+            .map_while(|_| self.0.sample_one(&mut rng))
             .map(|t| t.to_transition())
             .collect();
         prop_assert_eq!(got, self.1.sample(n, &mut StdRng::seed_from_u64(seed)));
@@ -121,8 +120,8 @@ proptest! {
             buf.push(transition(i as f64));
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let sample = buf.sample(n_sample, &mut rng);
-        prop_assert_eq!(sample.len(), n_sample.min(if buf.is_empty() { 0 } else { n_sample }));
+        let drawn = (0..n_sample).map_while(|_| buf.sample_one(&mut rng)).count();
+        prop_assert_eq!(drawn, n_sample);
     }
 
     #[test]

@@ -129,6 +129,25 @@ pub(crate) fn subset_from_indices(indices: &[usize]) -> Result<Vec<ParamId>, Str
         .collect()
 }
 
+/// Check a restored genome against `space`: one gene per parameter,
+/// each inside its domain.
+pub(crate) fn check_genes(space: &ParameterSpace, genes: &[usize]) -> Result<(), String> {
+    if genes.len() != ParamId::ALL.len() {
+        return Err(format!(
+            "{} genes, want {}",
+            genes.len(),
+            ParamId::ALL.len()
+        ));
+    }
+    for p in ParamId::ALL {
+        let (gene, card) = (genes[p.index()], space.cardinality(p));
+        if gene >= card {
+            return Err(format!("{} gene {gene} out of range 0..{card}", p.name()));
+        }
+    }
+    Ok(())
+}
+
 fn genes_vec(configs: &[Configuration]) -> Vec<Vec<usize>> {
     configs.iter().map(|c| c.genes().to_vec()).collect()
 }
@@ -478,6 +497,7 @@ impl SearchStrategy for RandomStrategy {
     fn restore(&mut self, snapshot: &str) -> Result<(), String> {
         let state: RandomState = serde_json::from_str(snapshot).map_err(|e| e.to_string())?;
         let rng = rng_from_state_vec(&state.rng)?;
+        check_genes(&self.space, &state.best_genes).map_err(|e| format!("best_genes: {e}"))?;
         self.subset = subset_from_indices(&state.subset)?;
         self.rng = rng;
         self.proposed = state.proposed;
@@ -648,6 +668,10 @@ impl SearchStrategy for LhsStrategy {
     fn restore(&mut self, snapshot: &str) -> Result<(), String> {
         let state: LhsState = serde_json::from_str(snapshot).map_err(|e| e.to_string())?;
         let rng = rng_from_state_vec(&state.rng)?;
+        check_genes(&self.space, &state.best_genes).map_err(|e| format!("best_genes: {e}"))?;
+        for genes in &state.buffer {
+            check_genes(&self.space, genes).map_err(|e| format!("buffer: {e}"))?;
+        }
         self.subset = subset_from_indices(&state.subset)?;
         self.rng = rng;
         self.proposed = state.proposed;
