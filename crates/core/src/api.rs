@@ -91,19 +91,21 @@ impl TunIo {
     }
 
     /// Restore agent state saved with [`Self::save`] into this instance.
+    /// Both agents are restored into copies first, so an `Err` leaves
+    /// this instance as it was.
     pub fn load_into(&mut self, path: &std::path::Path) -> std::io::Result<()> {
+        let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         let text = std::fs::read_to_string(path)?;
         let (smart, stop): (
             crate::smart_config::SmartConfigState,
             crate::early_stop::EarlyStopState,
-        ) = serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        self.smart_config
-            .restore_state(&smart)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-        self.early_stop
-            .restore_state(&stop)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        ) = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
+        let mut smart_config = self.smart_config.clone();
+        smart_config.restore_state(&smart).map_err(invalid)?;
+        let mut early_stop = self.early_stop.clone();
+        early_stop.restore_state(&stop).map_err(invalid)?;
+        self.smart_config = smart_config;
+        self.early_stop = early_stop;
         Ok(())
     }
 }
@@ -201,5 +203,28 @@ mod persistence_tests {
         {
             assert!((x - y).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn failed_load_leaves_both_agents_untouched() {
+        let space = ParameterSpace::tunio_default();
+        let smart = SmartConfigAgent::pretrained(&space, ClusterSpec::cori_4node(), 2).save_state();
+        let stop = crate::early_stop::EarlyStopState {
+            agent: "not json".into(),
+            max_iterations: 20,
+        };
+        let path = std::env::temp_dir().join("tunio_agents_bad_stop.json");
+        std::fs::write(&path, serde_json::to_string(&(smart, stop)).unwrap()).unwrap();
+
+        let mut t = TunIo::pretrained(&space, ClusterSpec::cori_4node(), 20, 17);
+        let before =
+            serde_json::to_string(&(t.smart_config.save_state(), t.early_stop.save_state()))
+                .unwrap();
+        assert!(t.load_into(&path).is_err());
+        std::fs::remove_file(&path).ok();
+        let after =
+            serde_json::to_string(&(t.smart_config.save_state(), t.early_stop.save_state()))
+                .unwrap();
+        assert_eq!(after, before);
     }
 }

@@ -58,7 +58,7 @@ use tunio::pipeline::{
 };
 use tunio_iosim::{FaultPlan, NoiseProfile};
 use tunio_params::ParameterSpace;
-use tunio_workloads::{all_apps, Variant};
+use tunio_workloads::{app_by_name, Variant};
 
 const GIB: f64 = 1024.0 * 1024.0 * 1024.0;
 
@@ -144,14 +144,9 @@ fn parse_args() -> Result<Args, String> {
         match argv[i].as_str() {
             "--app" => args.app = value(&argv, &mut i, "--app")?,
             "--pipeline" => {
-                args.kind = match value(&argv, &mut i, "--pipeline")?.as_str() {
-                    "tunio" => PipelineKind::TunIo,
-                    "hstuner" => PipelineKind::HsTunerNoStop,
-                    "hstuner-heuristic" => PipelineKind::HsTunerHeuristic,
-                    "impact-first" => PipelineKind::ImpactFirstOnly,
-                    "rl-stop" => PipelineKind::RlStopOnly,
-                    other => return Err(format!("unknown pipeline `{other}`")),
-                }
+                let v = value(&argv, &mut i, "--pipeline")?;
+                args.kind =
+                    PipelineKind::from_name(&v).ok_or_else(|| format!("unknown pipeline `{v}`"))?;
             }
             "--strategy" => {
                 let v = value(&argv, &mut i, "--strategy")?;
@@ -167,23 +162,7 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.threads = Some(n);
             }
-            "--variant" => {
-                let v = value(&argv, &mut i, "--variant")?;
-                args.variant = if v == "full" {
-                    Variant::Full
-                } else if v == "kernel" {
-                    Variant::Kernel
-                } else if let Some(frac) = v.strip_prefix("reduced:") {
-                    let keep_fraction: f64 =
-                        frac.parse().map_err(|_| format!("bad fraction `{frac}`"))?;
-                    if !(0.0..=1.0).contains(&keep_fraction) || keep_fraction == 0.0 {
-                        return Err("reduced fraction must be in (0, 1]".into());
-                    }
-                    Variant::ReducedKernel { keep_fraction }
-                } else {
-                    return Err(format!("unknown variant `{v}`"));
-                };
-            }
+            "--variant" => args.variant = value(&argv, &mut i, "--variant")?.parse()?,
             "--iterations" => {
                 args.iterations = value(&argv, &mut i, "--iterations")?
                     .parse()
@@ -315,7 +294,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let Some(app) = all_apps().into_iter().find(|a| a.name == args.app) else {
+    let Some(app) = app_by_name(&args.app) else {
         eprintln!("unknown application `{}`", args.app);
         return usage();
     };
@@ -390,7 +369,6 @@ fn main() -> ExitCode {
         fault_plan: args
             .fault_rate
             .map(|rate| FaultPlan::chaos(args.fault_seed.unwrap_or(args.seed), rate)),
-        policy: None,
         abort_after: args.abort_after,
         threads: args.threads,
         warm_start,

@@ -1,10 +1,11 @@
 //! End-to-end tuning campaigns (the pipelines compared in §IV).
 //!
 //! Campaigns run fault-free by default. [`CampaignOptions`] adds the
-//! robustness machinery: a seeded [`FaultPlan`] for chaos runs, a
-//! [`FailurePolicy`] governing retry/quarantine/penalty behaviour, and a
-//! write-ahead-log checkpoint ([`crate::checkpoint`]) enabling
-//! kill-and-resume with bitwise-identical outcomes.
+//! robustness machinery: a seeded [`FaultPlan`] for chaos runs, whose
+//! failures the engine's default [`tunio_tuner::FailurePolicy`]
+//! retries, quarantines and degrades, and a write-ahead-log checkpoint
+//! ([`crate::checkpoint`]) enabling kill-and-resume with
+//! bitwise-identical outcomes.
 
 use crate::checkpoint::{
     self, CheckpointError, CheckpointGeneration, CheckpointHeader, CheckpointWriter,
@@ -24,9 +25,9 @@ use tunio_trace as trace;
 use tunio_tuner::stoppers::NoStop;
 use tunio_tuner::{
     AllParams, BoConfig, BoStrategy, CacheEntry, CampaignObserver, EvalCounters, EvalEngine,
-    FailurePolicy, GaConfig, GaStrategy, GenerationSnapshot, HeuristicStop, LhsStrategy,
-    NoObserver, RacingConfig, RacingCounters, RandomStrategy, ResilienceCounters, SchedulerStats,
-    SearchStrategy, Stopper, SubsetProvider, TuningTrace,
+    GaConfig, GaStrategy, GenerationSnapshot, HeuristicStop, LhsStrategy, NoObserver, RacingConfig,
+    RacingCounters, RandomStrategy, ResilienceCounters, SchedulerStats, SearchStrategy, Stopper,
+    SubsetProvider, TuningTrace,
 };
 use tunio_workloads::{AppSpec, Variant, Workload, WorkloadFeatures};
 
@@ -70,6 +71,23 @@ impl PipelineKind {
     /// pipeline they belong to.
     pub fn from_label(label: &str) -> Option<PipelineKind> {
         PipelineKind::ALL.into_iter().find(|k| k.label() == label)
+    }
+
+    /// The command-line and submission name (`tunio-tune --pipeline`,
+    /// the daemon's `pipeline` field).
+    pub fn name(&self) -> &'static str {
+        match self {
+            PipelineKind::HsTunerNoStop => "hstuner",
+            PipelineKind::HsTunerHeuristic => "hstuner-heuristic",
+            PipelineKind::TunIo => "tunio",
+            PipelineKind::ImpactFirstOnly => "impact-first",
+            PipelineKind::RlStopOnly => "rl-stop",
+        }
+    }
+
+    /// Reverse of [`PipelineKind::name`].
+    pub fn from_name(name: &str) -> Option<PipelineKind> {
+        PipelineKind::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -198,8 +216,8 @@ pub struct CampaignOutcome {
     pub wall_breakdown: Option<trace::Timeline>,
 }
 
-/// Robustness options for a campaign: fault injection, failure policy,
-/// and checkpoint/resume. The default is a plain fault-free campaign
+/// Robustness options for a campaign: fault injection and
+/// checkpoint/resume. The default is a plain fault-free campaign
 /// with no checkpoint — exactly the historical behaviour.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignOptions {
@@ -210,8 +228,6 @@ pub struct CampaignOptions {
     pub resume: bool,
     /// Attach a fault-injection plan to the simulator.
     pub fault_plan: Option<FaultPlan>,
-    /// Override the engine's retry/quarantine/penalty policy.
-    pub policy: Option<FailurePolicy>,
     /// Exit the process (status 0) once this generation's checkpoint
     /// line is durable — the kill switch for crash/resume testing.
     pub abort_after: Option<u32>,
@@ -329,9 +345,7 @@ pub fn spec_from_header(header: &CheckpointHeader) -> Result<(CampaignSpec, Stra
             header.version, CHECKPOINT_VERSION
         ));
     }
-    let app = tunio_workloads::all_apps()
-        .into_iter()
-        .find(|a| a.name == header.app)
+    let app = tunio_workloads::app_by_name(&header.app)
         .ok_or_else(|| format!("unknown application `{}`", header.app))?;
     let variant = variant_from_str(&header.variant)
         .ok_or_else(|| format!("unknown variant `{}`", header.variant))?;
@@ -446,29 +460,6 @@ fn default_threads() -> usize {
         .min(8)
 }
 
-/// Run one campaign through the asynchronous strategy scheduler — the
-/// one campaign driver.
-///
-/// Builds the engine, the stopper and smart subset wiring per
-/// [`PipelineKind`] and the checkpoint/resume WAL, then lets the chosen
-/// [`StrategyKind`] search with `opts.threads` parallel evaluator slots,
-/// refilled as soon as a simulation completes. The outcome (trace,
-/// profile, checkpoint trajectory) is bitwise identical for every
-/// thread count.
-pub fn run_strategy_campaign_opts(
-    spec: &CampaignSpec,
-    strategy: StrategyKind,
-    opts: &CampaignOptions,
-) -> Result<CampaignOutcome, CampaignError> {
-    run_with_agents(spec, strategy, opts, None)
-}
-
-/// Externally owned campaign hooks: agents that outlive one campaign.
-struct Agents<'a> {
-    stopper: &'a mut dyn Stopper,
-    subsets: &'a mut dyn SubsetProvider,
-}
-
 /// The stopper and subset provider a [`PipelineKind`] tunes with. The
 /// TunIO agents are pretrained here, inside the campaign span, each in a
 /// `pretrain` span saying which agent and whether the options' cache
@@ -522,15 +513,19 @@ fn pipeline_agents(
     (stopper, subsets)
 }
 
-/// The campaign driver behind [`run_strategy_campaign_opts`] and
-/// [`run_campaign_with`]. `agents` replaces the per-[`PipelineKind`]
-/// stopper and subset provider the driver would otherwise build (and
-/// pretrain) itself.
-fn run_with_agents(
+/// Run one campaign through the asynchronous strategy scheduler — the
+/// one campaign driver.
+///
+/// Builds the engine, the stopper and smart subset wiring per
+/// [`PipelineKind`] and the checkpoint/resume WAL, then lets the chosen
+/// [`StrategyKind`] search with `opts.threads` parallel evaluator slots,
+/// refilled as soon as a simulation completes. The outcome (trace,
+/// profile, checkpoint trajectory) is bitwise identical for every
+/// thread count.
+pub fn run_strategy_campaign_opts(
     spec: &CampaignSpec,
     strategy: StrategyKind,
     opts: &CampaignOptions,
-    agents: Option<Agents<'_>>,
 ) -> Result<CampaignOutcome, CampaignError> {
     let space = ParameterSpace::tunio_default();
     let mut sim = if spec.large_scale {
@@ -544,10 +539,7 @@ fn run_with_agents(
     sim = apply_noise(sim, spec, opts);
     let cluster = sim.cluster;
     let workload = Workload::new(spec.app.clone(), spec.variant);
-    let mut engine = EvalEngine::new(sim, workload, space.clone(), 3);
-    if let Some(policy) = opts.policy {
-        engine = engine.with_policy(policy);
-    }
+    let engine = EvalEngine::new(sim, workload, space.clone(), 3);
     // Open the campaign span before warm-start seeding and agent
     // pretraining: both run real simulations, and those spans must join
     // the campaign's trace rather than each minting a root of their own.
@@ -567,14 +559,7 @@ fn run_with_agents(
         backend.warm_start(&seeds);
     }
 
-    let mut built = None;
-    let (stopper, subsets): (&mut dyn Stopper, &mut dyn SubsetProvider) = match agents {
-        Some(Agents { stopper, subsets }) => (stopper, subsets),
-        None => {
-            let (stopper, subsets) = built.insert(pipeline_agents(spec, opts, &space, cluster));
-            (stopper.as_mut(), subsets.as_mut())
-        }
-    };
+    let (mut stopper, mut subsets) = pipeline_agents(spec, opts, &space, cluster);
 
     let mut checkpointer = match &opts.checkpoint {
         Some(path) => Some(CheckpointObserver::open(
@@ -599,8 +584,8 @@ fn run_with_agents(
     let run = tunio_tuner::run_strategy_opts(
         &engine,
         backend,
-        stopper,
-        subsets,
+        stopper.as_mut(),
+        subsets.as_mut(),
         spec.population.max(1),
         threads,
         observer,
@@ -1071,8 +1056,8 @@ mod tests {
     }
 
     /// ISSUE 8 regression: a campaign whose every evaluation faults
-    /// (fault-rate 1.0, zero retries) must return `Err` — not abort the
-    /// process the way the old
+    /// (fault-rate 1.0, so every retry faults too) must return `Err` —
+    /// not abort the process the way the old
     /// `.expect("a campaign without a checkpoint has no failure path")`
     /// did when the caller unwrapped a trace of pure penalty values.
     #[test]
@@ -1081,10 +1066,6 @@ mod tests {
             fault_plan: Some(FaultPlan {
                 transient_rate: 1.0,
                 ..FaultPlan::disabled(11)
-            }),
-            policy: Some(FailurePolicy {
-                max_retries: 0,
-                ..FailurePolicy::default()
             }),
             ..CampaignOptions::default()
         };
@@ -1175,35 +1156,15 @@ mod tests {
         labels.dedup();
         assert_eq!(labels.len(), kinds.len());
     }
-}
 
-/// Run a campaign with an existing, pre-trained [`crate::TunIo`] instance
-/// whose agents carry their learning across campaigns — the paper's
-/// "when the component is exposed to new applications, it can learn from
-/// the new trends it sees" (§V-C). The early stopper's campaign-local
-/// history is reset; everything learned (Q-networks, observer, impact
-/// ranking) persists. The bundle's agents replace the ones `spec.kind`
-/// would build, so the outcome reports the TunIO pipeline.
-pub fn run_campaign_with(
-    tunio: &mut crate::TunIo,
-    spec: &CampaignSpec,
-) -> Result<CampaignOutcome, CampaignError> {
-    tunio.early_stop.max_iterations = spec.max_iterations;
-    tunio.early_stop.begin_campaign();
-    let agents = Agents {
-        stopper: &mut tunio.early_stop,
-        subsets: &mut tunio.smart_config,
-    };
-    let outcome = run_with_agents(
-        spec,
-        StrategyKind::Ga,
-        &CampaignOptions::default(),
-        Some(agents),
-    )?;
-    Ok(CampaignOutcome {
-        kind: PipelineKind::TunIo,
-        ..outcome
-    })
+    #[test]
+    fn names_and_labels_round_trip() {
+        for k in PipelineKind::ALL {
+            assert_eq!(PipelineKind::from_name(k.name()), Some(k));
+            assert_eq!(PipelineKind::from_label(k.label()), Some(k));
+        }
+        assert_eq!(PipelineKind::from_name("TunIO"), None);
+    }
 }
 
 #[cfg(test)]
@@ -1550,10 +1511,6 @@ mod checkpoint_tests {
         let path = wal_path("chaos-resume.jsonl");
         let chaos = |resume| CampaignOptions {
             fault_plan: Some(FaultPlan::chaos(37, 0.15)),
-            policy: Some(FailurePolicy {
-                max_retries: 3,
-                ..FailurePolicy::default()
-            }),
             ..checkpointed(&path, resume)
         };
         let uninterrupted =
@@ -1574,38 +1531,5 @@ mod checkpoint_tests {
         // the campaign outcome itself must not.
         assert_outcomes_identical(&uninterrupted, &resumed);
         std::fs::remove_file(&path).ok();
-    }
-}
-
-#[cfg(test)]
-mod reuse_tests {
-    use super::*;
-    use crate::TunIo;
-    use tunio_iosim::ClusterSpec;
-    use tunio_workloads::{flash, hacc};
-
-    #[test]
-    fn one_tunio_instance_tunes_multiple_applications() {
-        let space = ParameterSpace::tunio_default();
-        let mut tunio = TunIo::pretrained(&space, ClusterSpec::cori_4node(), 15, 31);
-
-        let mut spec = CampaignSpec {
-            app: hacc(),
-            variant: Variant::Kernel,
-            kind: PipelineKind::TunIo,
-            max_iterations: 15,
-            population: 6,
-            seed: 31,
-            large_scale: false,
-        };
-        let first = run_campaign_with(&mut tunio, &spec).unwrap();
-        assert!(first.trace.best_perf > first.trace.default_perf);
-
-        // Same agents, new application: learning carries over, history
-        // does not.
-        spec.app = flash();
-        let second = run_campaign_with(&mut tunio, &spec).unwrap();
-        assert!(second.trace.best_perf > second.trace.default_perf);
-        assert!(second.trace.iterations() <= 15);
     }
 }

@@ -440,18 +440,24 @@ impl SmartConfigAgent {
         }
     }
 
-    /// Restore a snapshot taken with [`Self::save_state`].
+    /// Restore a snapshot taken with [`Self::save_state`]. Every part is
+    /// checked before any is assigned, so an `Err` leaves the agent as
+    /// it was.
     pub fn restore_state(&mut self, state: &SmartConfigState) -> Result<(), String> {
         if state.ranking.len() != self.total_params || state.scores.len() != self.total_params {
             return Err("parameter-space size mismatch".into());
         }
+        let mut picker = self.picker.clone();
+        picker.import_json(&state.picker)?;
+        let mut observer = self.observer.clone();
+        observer.import_json(&state.observer)?;
         self.analysis = ImpactAnalysis {
             ranking: state.ranking.clone(),
             scores: state.scores.clone(),
             significant: state.significant,
         };
-        self.picker.import_json(&state.picker)?;
-        self.observer.import_json(&state.observer)?;
+        self.picker = picker;
+        self.observer = observer;
         Ok(())
     }
 }
@@ -530,6 +536,17 @@ mod tests {
             assert!(!subset.is_empty() && subset.len() <= 12);
             agent.feedback(&subset, 1e9 + it as f64 * 1e8);
         }
+    }
+
+    #[test]
+    fn failed_restore_leaves_the_agent_untouched() {
+        let s = space();
+        let mut state = SmartConfigAgent::pretrained(&s, ClusterSpec::cori_4node(), 1).save_state();
+        state.observer = "not json".into();
+        let mut agent = SmartConfigAgent::pretrained(&s, ClusterSpec::cori_4node(), 2);
+        let before = serde_json::to_string(&agent.save_state()).unwrap();
+        assert!(agent.restore_state(&state).is_err());
+        assert_eq!(serde_json::to_string(&agent.save_state()).unwrap(), before);
     }
 
     #[test]

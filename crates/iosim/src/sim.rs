@@ -201,25 +201,6 @@ impl Simulator {
         RunReport::average(&runs)
     }
 
-    /// [`Self::run_averaged`] with cost attribution: averages the reports
-    /// exactly as `run_averaged` does (bitwise-identical report) and
-    /// averages the per-run profiles the same way.
-    pub fn run_averaged_profiled(
-        &self,
-        phases: &[Phase],
-        cfg: &StackConfig,
-        repeats: u32,
-    ) -> (RunReport, Profile) {
-        let mut runs = Vec::new();
-        let mut profiles = Vec::new();
-        for i in 0..repeats.max(1) {
-            let (report, profile) = self.run_profiled(phases, cfg, i);
-            runs.push(report);
-            profiles.push(profile);
-        }
-        (RunReport::average(&runs), Profile::average(&profiles))
-    }
-
     /// Fallible single run: consults the attached [`FaultPlan`] (if any)
     /// and injects at most one fault. `attempt` distinguishes retries so a
     /// transient fault does not deterministically recur forever.
@@ -275,33 +256,6 @@ impl Simulator {
                 Ok((report, profile, Some(fault)))
             }
         }
-    }
-
-    /// Fallible counterpart of [`Self::run_averaged_profiled`]: any
-    /// transient fault aborts the whole attempt, non-fatal faults are
-    /// collected. Fault-free results are bitwise identical to the
-    /// infallible path.
-    pub fn try_run_averaged_profiled(
-        &self,
-        phases: &[Phase],
-        cfg: &StackConfig,
-        repeats: u32,
-        attempt: u32,
-    ) -> Result<(RunReport, Profile, Vec<InjectedFault>), SimFault> {
-        let mut runs = Vec::new();
-        let mut profiles = Vec::new();
-        let mut faults = Vec::new();
-        for i in 0..repeats.max(1) {
-            let (report, profile, fault) = self.try_run_profiled(phases, cfg, i, attempt)?;
-            runs.push(report);
-            profiles.push(profile);
-            faults.extend(fault);
-        }
-        Ok((
-            RunReport::average(&runs),
-            Profile::average(&profiles),
-            faults,
-        ))
     }
 
     /// Simulate one bulk-I/O phase, attributing cost per stack layer.
@@ -659,9 +613,11 @@ mod tests {
         let cfg = StackConfig::defaults(&s);
         let phases = checkpoint_phases();
         let plain = sim.run_averaged(&phases, &cfg, 3);
-        let (report, profile) = sim.run_averaged_profiled(&phases, &cfg, 3);
+        let (runs, profiles): (Vec<_>, Vec<_>) =
+            (0..3).map(|i| sim.run_profiled(&phases, &cfg, i)).unzip();
+        let report = RunReport::average(&runs);
         assert_eq!(plain, report);
-        assert!(profile.attribution_error(&report) < 1e-9);
+        assert!(Profile::average(&profiles).attribution_error(&report) < 1e-9);
     }
 
     #[test]
@@ -997,13 +953,13 @@ mod interference_tests {
         let cfg = striped(&s, 9);
         let sim = Simulator::cori_4node(11)
             .with_interference(InterferenceModel::new(NoiseProfile::Storm, 5));
-        let (plain, plain_prof) = sim.run_averaged_profiled(&phases(), &cfg, 3);
-        let (r, p, faults) = sim
-            .try_run_averaged_profiled(&phases(), &cfg, 3, 0)
-            .unwrap();
-        assert_eq!(plain, r);
-        assert_eq!(plain_prof, p);
-        assert!(faults.is_empty());
+        for run_idx in 0..3 {
+            let (plain, plain_prof) = sim.run_profiled(&phases(), &cfg, run_idx);
+            let (r, p, fault) = sim.try_run_profiled(&phases(), &cfg, run_idx, 0).unwrap();
+            assert_eq!(plain, r);
+            assert_eq!(plain_prof, p);
+            assert_eq!(fault, None);
+        }
     }
 }
 
@@ -1057,13 +1013,12 @@ mod fault_tests {
         let sim = Simulator::cori_4node(11).with_fault_plan(FaultPlan::disabled(5));
         let s = ParameterSpace::tunio_default();
         let cfg = StackConfig::defaults(&s);
-        let plain = Simulator::cori_4node(11).run_averaged_profiled(&phases(), &cfg, 3);
-        let (r, p, faults) = sim
-            .try_run_averaged_profiled(&phases(), &cfg, 3, 0)
-            .unwrap();
-        assert_eq!(plain.0, r);
-        assert_eq!(plain.1, p);
-        assert!(faults.is_empty());
+        let plain = Simulator::cori_4node(11);
+        for run_idx in 0..3 {
+            let (r, p, fault) = sim.try_run_profiled(&phases(), &cfg, run_idx, 0).unwrap();
+            assert_eq!(plain.run_profiled(&phases(), &cfg, run_idx), (r, p));
+            assert_eq!(fault, None);
+        }
     }
 
     #[test]

@@ -126,6 +126,17 @@ pub struct CampaignRequest {
     pub racing: bool,
 }
 
+/// Largest generation budget a submission may ask for.
+pub const MAX_ITERATIONS: u64 = 10_000;
+/// Largest population a submission may ask for: the GA builds its whole
+/// population up front.
+pub const MAX_POPULATION: u64 = 1_024;
+/// Most evaluator slots a submission may ask for: each is an OS thread
+/// for the length of the campaign. The three bounds cover every use in
+/// this repository; the largest is CI's 300 iterations of 24 on 2
+/// threads.
+pub const MAX_THREADS: u64 = 64;
+
 fn ident_ok(s: &str) -> bool {
     !s.is_empty() && s.len() <= 64 && id_ok(s)
 }
@@ -142,6 +153,11 @@ impl CampaignRequest {
     /// required; everything else has CLI-matching defaults.
     pub fn from_json(v: &serde_json::Value) -> Result<CampaignRequest, String> {
         let str_field = |key: &str| v.get(key).and_then(|x| x.as_str()).map(str::to_string);
+        let u64_field = |key: &str| v.get(key).and_then(|x| x.as_u64());
+        let at_most = |key: &str, max: u64| match u64_field(key) {
+            Some(n) if n > max => Err(format!("`{key}` must be at most {max}, got {n}")),
+            n => Ok(n),
+        };
         let tenant = str_field("tenant").ok_or("missing field `tenant`")?;
         if !ident_ok(&tenant) {
             return Err(format!(
@@ -161,21 +177,23 @@ impl CampaignRequest {
             pipeline: str_field("pipeline").unwrap_or_else(|| "tunio".to_string()),
             strategy: str_field("strategy"),
             variant: str_field("variant").unwrap_or_else(|| "kernel".to_string()),
-            iterations: v.get("iterations").and_then(|x| x.as_u64()).unwrap_or(10) as u32,
-            population: v.get("population").and_then(|x| x.as_u64()).unwrap_or(6) as usize,
-            seed: v.get("seed").and_then(|x| x.as_u64()).unwrap_or(42),
+            iterations: at_most("iterations", MAX_ITERATIONS)?.unwrap_or(10) as u32,
+            population: at_most("population", MAX_POPULATION)?.unwrap_or(6) as usize,
+            seed: u64_field("seed").unwrap_or(42),
             large_scale: matches!(v.get("large_scale"), Some(serde_json::Value::Bool(true))),
-            threads: v
-                .get("threads")
-                .and_then(|x| x.as_u64())
-                .map(|n| n as usize),
+            threads: at_most("threads", MAX_THREADS)?.map(|n| n as usize),
             fault_rate: v.get("fault_rate").and_then(|x| x.as_f64()),
-            fault_seed: v.get("fault_seed").and_then(|x| x.as_u64()),
+            fault_seed: u64_field("fault_seed"),
             inject_panic: matches!(v.get("inject_panic"), Some(serde_json::Value::Bool(true))),
             noise_profile: str_field("noise_profile"),
-            noise_seed: v.get("noise_seed").and_then(|x| x.as_u64()),
+            noise_seed: u64_field("noise_seed"),
             racing: matches!(v.get("racing"), Some(serde_json::Value::Bool(true))),
         };
+        if let Some(rate) = req.fault_rate {
+            if !(0.0..=0.5).contains(&rate) {
+                return Err(format!("`fault_rate` must be in [0, 0.5], got {rate}"));
+            }
+        }
         if let Some(p) = &req.noise_profile {
             NoiseProfile::parse(p)
                 .ok_or_else(|| format!("unknown noise profile `{p}` (want quiet|busy|storm)"))?;
@@ -229,19 +247,11 @@ impl CampaignRequest {
     /// Resolve to a runnable campaign. Errs with a human-readable reason
     /// for anything this build cannot host.
     pub fn to_spec(&self) -> Result<(CampaignSpec, Option<StrategyKind>), String> {
-        let app = tunio_workloads::all_apps()
-            .into_iter()
-            .find(|a| a.name == self.app)
+        let app = tunio_workloads::app_by_name(&self.app)
             .ok_or_else(|| format!("unknown application `{}`", self.app))?;
-        let kind = match self.pipeline.as_str() {
-            "tunio" => PipelineKind::TunIo,
-            "hstuner" => PipelineKind::HsTunerNoStop,
-            "hstuner-heuristic" => PipelineKind::HsTunerHeuristic,
-            "impact-first" => PipelineKind::ImpactFirstOnly,
-            "rl-stop" => PipelineKind::RlStopOnly,
-            other => return Err(format!("unknown pipeline `{other}`")),
-        };
-        let variant = parse_variant(&self.variant)?;
+        let kind = PipelineKind::from_name(&self.pipeline)
+            .ok_or_else(|| format!("unknown pipeline `{}`", self.pipeline))?;
+        let variant: Variant = self.variant.parse()?;
         let strategy = match &self.strategy {
             Some(s) => Some(
                 StrategyKind::parse(s)
@@ -287,22 +297,6 @@ impl CampaignRequest {
             ));
         }
         fp
-    }
-}
-
-fn parse_variant(v: &str) -> Result<Variant, String> {
-    if v == "full" {
-        Ok(Variant::Full)
-    } else if v == "kernel" {
-        Ok(Variant::Kernel)
-    } else if let Some(frac) = v.strip_prefix("reduced:") {
-        let keep_fraction: f64 = frac.parse().map_err(|_| format!("bad fraction `{frac}`"))?;
-        if !(0.0..=1.0).contains(&keep_fraction) || keep_fraction == 0.0 {
-            return Err("reduced fraction must be in (0, 1]".to_string());
-        }
-        Ok(Variant::ReducedKernel { keep_fraction })
-    } else {
-        Err(format!("unknown variant `{v}`"))
     }
 }
 
@@ -887,7 +881,6 @@ fn run_admitted(shared: &Arc<Shared>, id: &str, request: &CampaignRequest, wal: 
         fault_plan: request
             .fault_rate
             .map(|rate| FaultPlan::chaos(request.fault_seed.unwrap_or(request.seed), rate)),
-        policy: None,
         abort_after: None,
         threads: request.threads,
         warm_start: None,
@@ -1134,20 +1127,9 @@ fn recover_request(
         tenant,
         name: None,
         app: spec.app.name.clone(),
-        pipeline: match spec.kind {
-            PipelineKind::TunIo => "tunio",
-            PipelineKind::HsTunerNoStop => "hstuner",
-            PipelineKind::HsTunerHeuristic => "hstuner-heuristic",
-            PipelineKind::ImpactFirstOnly => "impact-first",
-            PipelineKind::RlStopOnly => "rl-stop",
-        }
-        .to_string(),
+        pipeline: spec.kind.name().to_string(),
         strategy: Some(strategy.label().to_string()),
-        variant: match spec.variant {
-            Variant::Full => "full".to_string(),
-            Variant::Kernel => "kernel".to_string(),
-            Variant::ReducedKernel { keep_fraction } => format!("reduced:{keep_fraction}"),
-        },
+        variant: spec.variant.to_string(),
         iterations: spec.max_iterations,
         population: spec.population,
         seed: spec.seed,
@@ -1456,6 +1438,36 @@ mod tests {
             let err = CampaignRequest::from_json(&value(body)).unwrap_err();
             assert!(err.contains(needle), "{body}: {err}");
         }
+    }
+
+    #[test]
+    fn request_rejects_oversized_budgets_and_bad_fault_rates() {
+        for (field, needle) in [
+            ("\"iterations\":4294967297", "`iterations` must be at most"),
+            ("\"iterations\":10001", "`iterations` must be at most"),
+            ("\"population\":1025", "`population` must be at most"),
+            (
+                "\"population\":18446744073709551615",
+                "`population` must be at most",
+            ),
+            ("\"threads\":65", "`threads` must be at most"),
+            ("\"threads\":1000000", "`threads` must be at most"),
+            ("\"fault_rate\":5.0", "`fault_rate` must be in [0, 0.5]"),
+            ("\"fault_rate\":-0.1", "`fault_rate` must be in [0, 0.5]"),
+        ] {
+            let body = format!("{{\"tenant\":\"a\",\"app\":\"hacc\",{field}}}");
+            let err = CampaignRequest::from_json(&value(&body)).unwrap_err();
+            assert!(err.contains(needle), "{body}: {err}");
+        }
+        let req = CampaignRequest::from_json(&value(
+            "{\"tenant\":\"a\",\"app\":\"hacc\",\"iterations\":10000,\
+             \"population\":1024,\"threads\":64,\"fault_rate\":0.5}",
+        ))
+        .unwrap();
+        assert_eq!(
+            (req.iterations, req.population, req.threads),
+            (10_000, 1_024, Some(64))
+        );
     }
 
     #[test]

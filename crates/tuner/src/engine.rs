@@ -34,6 +34,7 @@ use crate::racing::{Moments, RaceDiscard, RaceOutcome, RacingConfig, RacingCount
 use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
@@ -362,7 +363,7 @@ const FAULT_KINDS: [FaultKind; 4] = [
 #[cfg(test)]
 pub(crate) type GateFn = Arc<dyn Fn(&[usize]) + Send + Sync>;
 
-/// Test hook: lets unit tests block inside [`EvalEngine::simulate`] to
+/// Test hook: lets unit tests block inside [`EvalEngine::sample`] to
 /// prove that concurrent evaluations of *different* keys do not
 /// serialize behind one another.
 #[cfg(test)]
@@ -447,16 +448,21 @@ impl EvalEngine {
         (noise::fingerprint(key) % SHARDS as u64) as usize
     }
 
-    /// Run the simulator once for one configuration (no cache, no retry).
-    /// Pure in `(sim, config, repeats, attempt)`; see the module docs.
-    /// Injected non-fatal faults are surfaced as `fault.injected` events
-    /// and counters; a transient fault or an insane (NaN/negative) report
-    /// comes back as an [`AttemptError`].
-    fn simulate_attempt(
+    /// The one simulator call behind both evaluation paths: simulate
+    /// `runs` of `config` at fault-draw `attempt` and average them (no
+    /// cache, no retry, no charge). Pure in `(sim, config, runs,
+    /// attempt)`; see the module docs. The fixed-repeat path asks for
+    /// `0..repeats`, racing for one run at a time. A transient fault
+    /// aborts the whole call; non-fatal faults are surfaced as
+    /// `fault.injected` events and counters, in run order, only once
+    /// every run finished. A transient fault or an insane (NaN/negative)
+    /// report comes back as an [`AttemptError`].
+    fn sample(
         &self,
         config: &Configuration,
+        runs: Range<u32>,
         attempt: u32,
-    ) -> Result<(RunReport, Profile, f64), AttemptError> {
+    ) -> Result<(RunReport, Profile), AttemptError> {
         #[cfg(test)]
         {
             let gate = self
@@ -469,35 +475,48 @@ impl EvalEngine {
                 gate(config.genes());
             }
         }
-        let mut span = trace::span("eval.simulate", vec![("repeats", self.repeats.into())]);
+        let mut span = trace::span(
+            "eval.simulate",
+            vec![("run", runs.start.into()), ("repeats", runs.len().into())],
+        );
         let t0 = Instant::now();
         let phases = self.workload.phases();
         let stack = config.resolve(&self.space);
-        let outcome = self
-            .sim
-            .try_run_averaged_profiled(&phases, &stack, self.repeats, attempt);
-        self.sim_wall_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        match outcome {
-            Ok((report, profile, faults)) => {
-                for fault in &faults {
-                    self.note_fault(fault);
+        let mut reports = Vec::with_capacity(runs.len());
+        let mut profiles = Vec::with_capacity(runs.len());
+        let mut faults = Vec::new();
+        let mut killed = None;
+        for run_idx in runs {
+            match self.sim.try_run_profiled(&phases, &stack, run_idx, attempt) {
+                Ok((report, profile, fault)) => {
+                    reports.push(report);
+                    profiles.push(profile);
+                    faults.extend(fault);
                 }
-                if !report.is_sane() {
-                    span.add_field("failed", "corrupt_report".into());
-                    return Err(AttemptError::Corrupt);
+                Err(sim_fault) => {
+                    killed = Some(sim_fault.fault);
+                    break;
                 }
-                span.add_field("perf", report.perf().into());
-                span.add_field("cost_s", report.elapsed_s.into());
-                let perf = report.perf();
-                Ok((report, profile, perf))
-            }
-            Err(sim_fault) => {
-                self.note_fault(&sim_fault.fault);
-                span.add_field("failed", sim_fault.fault.kind.label().into());
-                Err(AttemptError::Fault(sim_fault.fault))
             }
         }
+        self.sim_wall_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        if let Some(fault) = killed {
+            self.note_fault(&fault);
+            span.add_field("failed", fault.kind.label().into());
+            return Err(AttemptError::Fault(fault));
+        }
+        for fault in &faults {
+            self.note_fault(fault);
+        }
+        let report = RunReport::average(&reports);
+        if !report.is_sane() {
+            span.add_field("failed", "corrupt_report".into());
+            return Err(AttemptError::Corrupt);
+        }
+        span.add_field("perf", report.perf().into());
+        span.add_field("cost_s", report.elapsed_s.into());
+        Ok((report, Profile::average(&profiles)))
     }
 
     /// Record one injected fault: event + labeled counter.
@@ -534,14 +553,15 @@ impl EvalEngine {
             .map_or(0, |s| s.attempts_used);
         let tries = self.policy.max_retries + 1;
         for t in 0..tries {
-            match self.simulate_attempt(config, base + t) {
-                Ok((report, profile, perf)) => {
+            match self.sample(config, 0..self.repeats.max(1), base + t) {
+                Ok((report, profile)) => {
                     if base > 0 || t > 0 {
                         let mut states = self.fail_state.lock();
                         let state = states.entry(key.to_vec()).or_default();
                         state.attempts_used += t + 1;
                         state.consecutive_failures = 0;
                     }
+                    let perf = report.perf();
                     return SimOutcome::Success(report, Box::new(profile), perf);
                 }
                 Err(why) => {
@@ -849,50 +869,19 @@ impl EvalEngine {
         self.race_discard_log.lock().clone()
     }
 
-    /// One raw single-run sample of `config` at repeat index `rep` — no
-    /// cache, no retry, no charge. Pure in `(sim, config, rep)`; a fault
-    /// or insane report comes back as `None` (the sample is excluded
-    /// from the moments, which is what keeps aggregation NaN-safe).
-    fn race_sample(&self, config: &Configuration, rep: u32) -> Option<(RunReport, Profile)> {
-        #[cfg(test)]
-        {
-            let gate = self
-                .sim_gate
-                .0
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .clone();
-            if let Some(gate) = gate {
-                gate(config.genes());
-            }
-        }
-        let mut span = trace::span("eval.sample", vec![("rep", rep.into())]);
-        let t0 = Instant::now();
-        let phases = self.workload.phases();
-        let stack = config.resolve(&self.space);
-        let outcome = self.sim.try_run_profiled(&phases, &stack, rep, 0);
-        self.sim_wall_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    /// Draw the race's next single-run sample, at repeat index
+    /// `state.attempts`, into `state`. A fault, an insane report or a
+    /// non-finite objective notes a failed sample, which is excluded
+    /// from the moments: that is what keeps aggregation NaN-safe.
+    fn race_draw(&self, config: &Configuration, state: &mut RaceState) {
+        let rep = state.attempts;
+        let sample = self
+            .sample(config, rep..rep + 1, 0)
+            .ok()
+            .filter(|(report, _)| report.perf().is_finite());
         self.race_samples.fetch_add(1, Ordering::Relaxed);
         self.m_race_samples.inc(1);
-        match outcome {
-            Ok((report, profile, fault)) => {
-                if let Some(f) = &fault {
-                    self.note_fault(f);
-                }
-                if !report.is_sane() || !report.perf().is_finite() {
-                    span.add_field("failed", "corrupt_report".into());
-                    return None;
-                }
-                span.add_field("perf", report.perf().into());
-                Some((report, profile))
-            }
-            Err(sim_fault) => {
-                self.note_fault(&sim_fault.fault);
-                span.add_field("failed", sim_fault.fault.kind.label().into());
-                None
-            }
-        }
+        state.note(sample);
     }
 
     /// Racing warm phase: run the first [`RacingConfig::min_samples`]
@@ -917,8 +906,8 @@ impl EvalEngine {
         }
         let min = racing.min_samples.clamp(2, racing.max_samples.max(2));
         let mut state = RaceState::default();
-        for rep in 0..min {
-            state.note(self.race_sample(config, rep));
+        for _ in 0..min {
+            self.race_draw(config, &mut state);
         }
         let provisional = if state.perfs.n > 0 {
             state.perfs.mean
@@ -977,7 +966,7 @@ impl EvalEngine {
                 break;
             }
             let rep = state.attempts;
-            state.note(self.race_sample(config, rep));
+            self.race_draw(config, &mut state);
             topups += 1;
             trace::event(
                 "eval.repeat",

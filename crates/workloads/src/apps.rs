@@ -180,6 +180,11 @@ pub fn all_apps() -> Vec<AppSpec> {
     vec![hacc(), vpic(), flash(), macsio_vpic_dipole(), bdcats()]
 }
 
+/// The application called `name` (`hacc`, `vpic`, ...), if there is one.
+pub fn app_by_name(name: &str) -> Option<AppSpec> {
+    all_apps().into_iter().find(|a| a.name == name)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,6 +23,6 @@ pub mod apps;
 pub mod features;
 pub mod spec;
 
-pub use apps::{all_apps, bdcats, flash, hacc, macsio_vpic_dipole, vpic};
+pub use apps::{all_apps, app_by_name, bdcats, flash, hacc, macsio_vpic_dipole, vpic};
 pub use features::WorkloadFeatures;
 pub use spec::{AppSpec, IterationIo, Variant, Workload};

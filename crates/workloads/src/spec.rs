@@ -103,6 +103,42 @@ impl Variant {
     }
 }
 
+/// The command-line and submission spelling: `full`, `kernel` or
+/// `reduced:<fraction>`.
+impl std::fmt::Display for Variant {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Variant::Full => f.write_str("full"),
+            Variant::Kernel => f.write_str("kernel"),
+            Variant::ReducedKernel { keep_fraction } => write!(f, "reduced:{keep_fraction}"),
+        }
+    }
+}
+
+/// Parses what [`Variant`]'s `Display` writes; a reduced fraction must
+/// lie in `(0, 1]`.
+impl std::str::FromStr for Variant {
+    type Err = String;
+
+    fn from_str(v: &str) -> Result<Variant, String> {
+        match v {
+            "full" => Ok(Variant::Full),
+            "kernel" => Ok(Variant::Kernel),
+            _ => {
+                let frac = v
+                    .strip_prefix("reduced:")
+                    .ok_or_else(|| format!("unknown variant `{v}`"))?;
+                let keep_fraction: f64 =
+                    frac.parse().map_err(|_| format!("bad fraction `{frac}`"))?;
+                if !(0.0..=1.0).contains(&keep_fraction) || keep_fraction == 0.0 {
+                    return Err("reduced fraction must be in (0, 1]".to_string());
+                }
+                Ok(Variant::ReducedKernel { keep_fraction })
+            }
+        }
+    }
+}
+
 fn reduced_iterations(total: u32, keep_fraction: f64) -> u32 {
     ((total as f64 * keep_fraction).round() as u32).clamp(1, total.max(1))
 }
@@ -318,5 +354,34 @@ mod tests {
         let full = Workload::new(toy_spec(), Variant::Full);
         let computes = full.phases().iter().filter(|p| !p.is_io()).count();
         assert_eq!(computes, 100);
+    }
+
+    #[test]
+    fn variant_names_round_trip() {
+        for v in [
+            Variant::Full,
+            Variant::Kernel,
+            Variant::ReducedKernel {
+                keep_fraction: 0.25,
+            },
+        ] {
+            assert_eq!(v.to_string().parse::<Variant>(), Ok(v));
+        }
+        assert_eq!(
+            "reduced:0.25".parse(),
+            Ok(Variant::ReducedKernel {
+                keep_fraction: 0.25
+            })
+        );
+        for bad in [
+            "",
+            "Kernel",
+            "reduced:",
+            "reduced:x",
+            "reduced:0",
+            "reduced:1.5",
+        ] {
+            assert!(bad.parse::<Variant>().is_err(), "{bad}");
+        }
     }
 }
