@@ -4,15 +4,19 @@
 //! stop decision per generation) and during offline pre-training; these
 //! benches quantify both, down to the single TD update that pre-training
 //! repeats some 10⁵ times, plus the PCA used in offline impact analysis.
+//! `tuner/bo_refit` times one refit of BO's surrogate ensemble, the cost
+//! that dominates a BO campaign, on one and on two threads.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use tunio::EarlyStopAgent;
 use tunio_nn::{Activation, Network, Optimizer, Pca};
+use tunio_params::ParameterSpace;
 use tunio_rl::logcurve::LogCurveEnv;
 use tunio_rl::qlearn::{QAgent, QConfig};
+use tunio_tuner::{BoConfig, BoStrategy, SearchStrategy};
 
 fn bench_network(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0);
@@ -88,5 +92,52 @@ fn bench_qagent(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_network, bench_pca, bench_qagent);
+fn bench_bo_refit(c: &mut Criterion) {
+    // 64 observations of a synthetic objective, none fitted yet: the
+    // first post-warmup proposal refits the 3-network ensemble once and
+    // then scores one 48-candidate acquisition pool, which costs well
+    // under 1% of the refit.
+    let cfg = BoConfig {
+        warmup: 64,
+        ..BoConfig::for_budget(128, 8, 3)
+    };
+    let space = ParameterSpace::tunio_default();
+    let mut bo = BoStrategy::new(cfg.clone(), space.clone());
+    for c in bo.propose(64) {
+        let perf = c
+            .genes()
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| (i * g) as f64)
+            .sum();
+        bo.observe(&c, perf, 0.1);
+    }
+    let observed = bo.snapshot();
+
+    let mut group = c.benchmark_group("tuner/bo_refit");
+    group.sample_size(30);
+    for threads in [1, 2] {
+        group.bench_with_input(
+            BenchmarkId::new("obs64_ensemble3", format!("{threads}_threads")),
+            &threads,
+            |b, &threads| {
+                b.iter(|| {
+                    let mut bo =
+                        BoStrategy::new(cfg.clone(), space.clone()).with_fit_threads(threads);
+                    bo.restore(&observed).expect("own snapshot restores");
+                    black_box(bo.propose(1))
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_network,
+    bench_pca,
+    bench_qagent,
+    bench_bo_refit
+);
 criterion_main!(benches);

@@ -66,15 +66,18 @@ fn run(strategy: StrategyKind, threads: usize) -> String {
 }
 
 /// The BO smoke dump matches the blessed baseline byte-for-byte, at
-/// one worker thread and at three.
+/// one thread, two (perfbench's `search_bo` shape: one spawned fit
+/// worker for the three-network ensemble) and three (one per network).
 #[test]
 fn bo_smoke_matches_golden_baseline() {
     let serial = run(StrategyKind::Bo, 1);
-    let threaded = run(StrategyKind::Bo, 3);
-    assert_eq!(
-        serial, threaded,
-        "BO outcome must not depend on thread count"
-    );
+    for threads in [2, 3] {
+        assert_eq!(
+            serial,
+            run(StrategyKind::Bo, threads),
+            "BO outcome must not depend on thread count ({threads} vs 1)"
+        );
+    }
 
     let path = baseline_path();
     if std::env::var_os("TUNIO_BLESS").is_some() {

@@ -46,9 +46,10 @@
 //! Every campaign runs through the asynchronous search scheduler.
 //! `--strategy` picks its backend: `ga` (the paper's GA, the default),
 //! `random`, `lhs` (Latin hypercube) or `bo` (surrogate-driven Bayesian
-//! optimization). `--threads` sets the parallel evaluator slot count
-//! (default: host cores, capped at 8); the outcome is bitwise identical
-//! for every value.
+//! optimization). `--threads` sets the parallel evaluator slot count,
+//! which also bounds the threads a `bo` surrogate refit trains its
+//! ensemble on (default: host cores, capped at 8); the outcome is
+//! bitwise identical for every value.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -231,8 +231,9 @@ pub struct CampaignOptions {
     /// Exit the process (status 0) once this generation's checkpoint
     /// line is durable — the kill switch for crash/resume testing.
     pub abort_after: Option<u32>,
-    /// Parallel evaluator slots (`None` = one per host core, capped at
-    /// 8). The trace is bitwise identical for every value; only
+    /// Parallel evaluator slots, and the most threads a BO surrogate
+    /// refit trains its ensemble on (`None` = one per host core, capped
+    /// at 8). The trace is bitwise identical for every value; only
     /// wall-clock time changes.
     pub threads: Option<usize>,
     /// Statically inferred workload features to warm-start the search
@@ -420,11 +421,13 @@ impl StrategyKind {
 /// Build the backend for a spec. The evaluation budget is
 /// `max_iterations * population` — the same simulation count the GA
 /// gets — and the record-window width is `population`, so traces from
-/// different backends line up generation-for-generation.
+/// different backends line up generation-for-generation. BO trains its
+/// surrogate ensemble on up to `threads` threads.
 fn build_strategy(
     kind: StrategyKind,
     spec: &CampaignSpec,
     space: &ParameterSpace,
+    threads: usize,
 ) -> Box<dyn SearchStrategy> {
     let evals = spec.max_iterations as usize * spec.population.max(1);
     match kind {
@@ -444,10 +447,13 @@ fn build_strategy(
             spec.population.max(1),
             spec.seed,
         )),
-        StrategyKind::Bo => Box::new(BoStrategy::new(
-            BoConfig::for_budget(evals, spec.population.max(1), spec.seed),
-            space.clone(),
-        )),
+        StrategyKind::Bo => Box::new(
+            BoStrategy::new(
+                BoConfig::for_budget(evals, spec.population.max(1), spec.seed),
+                space.clone(),
+            )
+            .with_fit_threads(threads),
+        ),
     }
 }
 
@@ -545,7 +551,8 @@ pub fn run_strategy_campaign_opts(
     // the campaign's trace rather than each minting a root of their own.
     let span = campaign_span(spec);
 
-    let mut backend = build_strategy(strategy, spec, &space);
+    let threads = opts.threads.unwrap_or_else(default_threads).max(1);
+    let mut backend = build_strategy(strategy, spec, &space, threads);
     if let Some(features) = &opts.warm_start {
         let seeds = warm_seed_configs(features, &space);
         trace::event(
@@ -575,7 +582,6 @@ pub fn run_strategy_campaign_opts(
         engine.preload(opts.preload.clone());
     }
 
-    let threads = opts.threads.unwrap_or_else(default_threads).max(1);
     let mut no_observer = NoObserver;
     let observer: &mut dyn CampaignObserver = match checkpointer.as_mut() {
         Some(obs) => obs,

@@ -150,21 +150,49 @@ fn id_ok(s: &str) -> bool {
 
 impl CampaignRequest {
     /// Parse a submission from its JSON body. `tenant` and `app` are
-    /// required; everything else has CLI-matching defaults.
+    /// required; everything else has CLI-matching defaults. A field
+    /// that is present but of the wrong type (a number sent as a
+    /// string, a float or negative count, a non-bool flag) is an error
+    /// naming the field, never a silent default; `null` counts as
+    /// absent.
     pub fn from_json(v: &serde_json::Value) -> Result<CampaignRequest, String> {
-        let str_field = |key: &str| v.get(key).and_then(|x| x.as_str()).map(str::to_string);
-        let u64_field = |key: &str| v.get(key).and_then(|x| x.as_u64());
-        let at_most = |key: &str, max: u64| match u64_field(key) {
+        use serde_json::Value;
+        let field = |key: &str| v.get(key).filter(|x| !matches!(x, Value::Null));
+        let wrong = |key: &str, want: &str, x: &Value| {
+            let got = match x {
+                Value::Array(_) | Value::Object(_) => x.kind().to_string(),
+                _ => serde_json::to_string(x).expect("a JSON scalar serializes"),
+            };
+            format!("`{key}` must be {want}, got {got}")
+        };
+        let str_field = |key: &str| match field(key) {
+            None => Ok(None),
+            Some(Value::String(s)) => Ok(Some(s.clone())),
+            Some(x) => Err(wrong(key, "a string", x)),
+        };
+        let u64_field = |key: &str| match field(key) {
+            None => Ok(None),
+            Some(x) => x
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| wrong(key, "a non-negative integer", x)),
+        };
+        let bool_field = |key: &str| match field(key) {
+            None => Ok(false),
+            Some(Value::Bool(b)) => Ok(*b),
+            Some(x) => Err(wrong(key, "a bool", x)),
+        };
+        let at_most = |key: &str, max: u64| match u64_field(key)? {
             Some(n) if n > max => Err(format!("`{key}` must be at most {max}, got {n}")),
             n => Ok(n),
         };
-        let tenant = str_field("tenant").ok_or("missing field `tenant`")?;
+        let tenant = str_field("tenant")?.ok_or("missing field `tenant`")?;
         if !ident_ok(&tenant) {
             return Err(format!(
                 "bad tenant `{tenant}` (want [A-Za-z0-9_.-]{{1,64}})"
             ));
         }
-        let name = str_field("name");
+        let name = str_field("name")?;
         if let Some(n) = &name {
             if !ident_ok(n) {
                 return Err(format!("bad name `{n}` (want [A-Za-z0-9_.-]{{1,64}})"));
@@ -173,21 +201,23 @@ impl CampaignRequest {
         let req = CampaignRequest {
             tenant,
             name,
-            app: str_field("app").ok_or("missing field `app`")?,
-            pipeline: str_field("pipeline").unwrap_or_else(|| "tunio".to_string()),
-            strategy: str_field("strategy"),
-            variant: str_field("variant").unwrap_or_else(|| "kernel".to_string()),
+            app: str_field("app")?.ok_or("missing field `app`")?,
+            pipeline: str_field("pipeline")?.unwrap_or_else(|| "tunio".to_string()),
+            strategy: str_field("strategy")?,
+            variant: str_field("variant")?.unwrap_or_else(|| "kernel".to_string()),
             iterations: at_most("iterations", MAX_ITERATIONS)?.unwrap_or(10) as u32,
             population: at_most("population", MAX_POPULATION)?.unwrap_or(6) as usize,
-            seed: u64_field("seed").unwrap_or(42),
-            large_scale: matches!(v.get("large_scale"), Some(serde_json::Value::Bool(true))),
+            seed: u64_field("seed")?.unwrap_or(42),
+            large_scale: bool_field("large_scale")?,
             threads: at_most("threads", MAX_THREADS)?.map(|n| n as usize),
-            fault_rate: v.get("fault_rate").and_then(|x| x.as_f64()),
-            fault_seed: u64_field("fault_seed"),
-            inject_panic: matches!(v.get("inject_panic"), Some(serde_json::Value::Bool(true))),
-            noise_profile: str_field("noise_profile"),
-            noise_seed: u64_field("noise_seed"),
-            racing: matches!(v.get("racing"), Some(serde_json::Value::Bool(true))),
+            fault_rate: field("fault_rate")
+                .map(|x| x.as_f64().ok_or_else(|| wrong("fault_rate", "a number", x)))
+                .transpose()?,
+            fault_seed: u64_field("fault_seed")?,
+            inject_panic: bool_field("inject_panic")?,
+            noise_profile: str_field("noise_profile")?,
+            noise_seed: u64_field("noise_seed")?,
+            racing: bool_field("racing")?,
         };
         if let Some(rate) = req.fault_rate {
             if !(0.0..=0.5).contains(&rate) {
@@ -1468,6 +1498,75 @@ mod tests {
             (req.iterations, req.population, req.threads),
             (10_000, 1_024, Some(64))
         );
+    }
+
+    #[test]
+    fn request_rejects_wrongly_typed_fields() {
+        // Each of these once parsed, with the field silently replaced by
+        // its default.
+        let err = CampaignRequest::from_json(&value(
+            "{\"tenant\":\"a\",\"name\":\"x\",\"app\":\"hacc\",\"pipeline\":\"hstuner\",\
+             \"iterations\":\"3\",\"population\":4.0,\"seed\":-1}",
+        ))
+        .unwrap_err();
+        assert_eq!(
+            err,
+            "`iterations` must be a non-negative integer, got \"3\""
+        );
+        for (field, needle) in [
+            (
+                "\"population\":4.0",
+                "`population` must be a non-negative integer, got 4",
+            ),
+            (
+                "\"seed\":-1",
+                "`seed` must be a non-negative integer, got -1",
+            ),
+            (
+                "\"threads\":\"2\"",
+                "`threads` must be a non-negative integer",
+            ),
+            (
+                "\"fault_seed\":1.5",
+                "`fault_seed` must be a non-negative integer",
+            ),
+            (
+                "\"noise_seed\":true",
+                "`noise_seed` must be a non-negative integer",
+            ),
+            ("\"fault_rate\":\"0.1\"", "`fault_rate` must be a number"),
+            ("\"pipeline\":1", "`pipeline` must be a string, got 1"),
+            (
+                "\"strategy\":[\"bo\"]",
+                "`strategy` must be a string, got array",
+            ),
+            ("\"variant\":{}", "`variant` must be a string, got object"),
+            ("\"noise_profile\":0", "`noise_profile` must be a string"),
+            ("\"name\":7", "`name` must be a string"),
+            ("\"large_scale\":1", "`large_scale` must be a bool, got 1"),
+            ("\"racing\":\"true\"", "`racing` must be a bool"),
+            (
+                "\"inject_panic\":\"false\"",
+                "`inject_panic` must be a bool",
+            ),
+        ] {
+            let body = format!("{{\"tenant\":\"a\",\"app\":\"hacc\",{field}}}");
+            let err = CampaignRequest::from_json(&value(&body)).unwrap_err();
+            assert!(err.starts_with(needle), "{body}: {err}");
+        }
+        for body in [
+            "{\"tenant\":1,\"app\":\"hacc\"}",
+            "{\"tenant\":\"a\",\"app\":true}",
+        ] {
+            let err = CampaignRequest::from_json(&value(body)).unwrap_err();
+            assert!(err.contains("must be a string"), "{body}: {err}");
+        }
+        // `null` is absent: the default applies.
+        let req = CampaignRequest::from_json(&value(
+            "{\"tenant\":\"a\",\"app\":\"hacc\",\"seed\":null,\"racing\":null}",
+        ))
+        .unwrap();
+        assert_eq!((req.seed, req.racing), (42, false));
     }
 
     #[test]

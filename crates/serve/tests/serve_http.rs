@@ -178,6 +178,25 @@ fn error_bodies_carry_control_characters_as_valid_json() {
 }
 
 #[test]
+fn wrongly_typed_fields_get_400_and_start_nothing() {
+    // This body was once accepted and run with the default budget and
+    // seed (10 iterations, population 6, seed 42).
+    let dir = test_dir("wrong-types");
+    let mut daemon = Daemon::start(config(&dir, 1)).expect("daemon boots");
+    let (status, body) = submit(
+        daemon.addr(),
+        r#"{"tenant":"a","name":"x","app":"hacc","pipeline":"hstuner","iterations":"3","population":4.0,"seed":-1}"#,
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(error_of(&body).contains("`iterations`"), "{body}");
+    assert!(!dir.join("a--x.meta.json").exists());
+    let (status, body) = http(daemon.addr(), "GET", "/campaigns/a--x", None);
+    assert_eq!(status, 404, "{body}");
+    daemon.drain_and_join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn tenant_quota_returns_429_without_losing_admitted_work() {
     let dir = test_dir("quota");
     let mut cfg = config(&dir, 1);

@@ -24,7 +24,13 @@
 //! the committed observation sequence. The surrogate refits at fixed
 //! observation counts, every RNG draw comes from the snapshotted
 //! xoshiro stream, and the full state (networks included) serializes
-//! through [`SearchStrategy::snapshot`].
+//! through [`SearchStrategy::snapshot`]. A refit first draws every
+//! ensemble member's initial weights from that stream, member by member
+//! in ensemble order, and only then trains them. `Network::fit` draws
+//! nothing and each member trains on its own weights with its own
+//! thread's scratch, so the members can train concurrently (see
+//! [`BoStrategy::with_fit_threads`]) and still come out bit-identical
+//! to a serial refit, whatever the thread count.
 
 use crate::strategy::{
     check_genes, rng_from_state_vec, rng_state_vec, sanitize, subset_from_indices,
@@ -109,6 +115,9 @@ pub struct BoStrategy {
     /// Observation count at the last surrogate refit.
     trained_at: usize,
     nets: Vec<Network>,
+    /// Threads a refit may train ensemble members on, the calling
+    /// thread included. Not snapshotted: outputs do not depend on it.
+    fit_threads: usize,
 }
 
 impl BoStrategy {
@@ -129,7 +138,17 @@ impl BoStrategy {
             best_perf: None,
             trained_at: 0,
             nets: Vec::new(),
+            fit_threads: 1,
         }
+    }
+
+    /// Train the ensemble members of each refit on up to `threads`
+    /// threads (at most one per member; the calling thread is one of
+    /// them, so 1 spawns nothing). The networks, and so every proposal
+    /// and snapshot, are bit-identical for every value.
+    pub fn with_fit_threads(mut self, threads: usize) -> Self {
+        self.fit_threads = threads.max(1);
+        self
     }
 
     /// Normalized feature vector: gene index scaled to [0, 1] per
@@ -167,18 +186,18 @@ impl BoStrategy {
         let xs: Vec<Vec<f64>> = self.xs.iter().map(|g| self.features(g)).collect();
         let ys: Vec<Vec<f64>> = self.ys.iter().map(|y| vec![(y - mean) / std]).collect();
         let dim = ParamId::ALL.len();
-        self.nets = (0..self.cfg.ensemble)
+        let mut nets: Vec<Network> = (0..self.cfg.ensemble)
             .map(|_| {
-                let mut net = Network::new(
+                Network::new(
                     &[dim, 16, 8, 1],
                     &[Activation::Tanh, Activation::Tanh, Activation::Linear],
                     Optimizer::Adam { lr: 0.01 },
                     &mut self.rng,
-                );
-                net.fit(&xs, &ys, self.cfg.epochs);
-                net
+                )
             })
             .collect();
+        fit_all(&mut nets, &xs, &ys, self.cfg.epochs, self.fit_threads);
+        self.nets = nets;
         self.trained_at = self.ys.len();
     }
 
@@ -377,6 +396,29 @@ impl SearchStrategy for BoStrategy {
     }
 }
 
+/// Train every network on `(xs, ys)` for `epochs`, on up to `threads`
+/// threads: the networks are cut, in order, into runs of
+/// `ceil(len / threads)`, and the calling thread trains the first run.
+/// Workers open no spans, so a trace does not depend on `threads`
+/// either.
+fn fit_all(nets: &mut [Network], xs: &[Vec<f64>], ys: &[Vec<f64>], epochs: usize, threads: usize) {
+    let per = nets.len().div_ceil(threads).max(1);
+    let mut runs = nets.chunks_mut(per);
+    let own = runs.next().unwrap_or_default();
+    std::thread::scope(|s| {
+        for run in runs {
+            s.spawn(move || {
+                for net in run {
+                    net.fit(xs, ys, epochs);
+                }
+            });
+        }
+        for net in own {
+            net.fit(xs, ys, epochs);
+        }
+    });
+}
+
 /// Standard normal density.
 fn normal_pdf(x: f64) -> f64 {
     (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
@@ -495,6 +537,45 @@ mod tests {
         let _ = started.propose(1);
         started.warm_start(std::slice::from_ref(&seed));
         assert_eq!(started.best, sp.default_config());
+    }
+
+    #[test]
+    fn bo_refits_are_bit_identical_at_every_fit_thread_count() {
+        // Ensembles of 1, 3 and 5 split evenly and unevenly over 1–4
+        // threads; the run crosses seven refits (at 8, 12, …, 32
+        // observations), and the snapshot holds the networks.
+        let run = |ensemble: usize, threads: usize| {
+            let cfg = BoConfig {
+                ensemble,
+                epochs: 8,
+                ..BoConfig::for_budget(36, 4, 17)
+            };
+            let mut bo = BoStrategy::new(cfg, space()).with_fit_threads(threads);
+            let mut snaps = Vec::new();
+            while !bo.is_done() {
+                for c in bo.propose(4) {
+                    let perf = c
+                        .genes()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &g)| (i * g) as f64)
+                        .sum();
+                    bo.observe(&c, perf, 0.1);
+                }
+                snaps.push(bo.snapshot());
+            }
+            assert_eq!(bo.trained_at, 32, "ensemble {ensemble}: last refit");
+            snaps
+        };
+        for ensemble in [1, 3, 5] {
+            let serial = run(ensemble, 1);
+            for threads in [2, 3, 4] {
+                assert!(
+                    serial == run(ensemble, threads),
+                    "ensemble {ensemble}: {threads} fit threads diverged from 1"
+                );
+            }
+        }
     }
 
     #[test]
