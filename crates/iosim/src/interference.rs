@@ -36,6 +36,12 @@ use crate::noise::splitmix64;
 /// Virtual-timeline quantum, in simulated seconds.
 pub const SLOT_S: f64 = 4.0;
 
+/// Hash stream of the episode-start draw.
+const START_STREAM: u64 = 0x8CB9_2BA7_2F3D_8DD7;
+
+/// Multiplier that spreads OST ids across a draw's hash input.
+const OST_MUL: u64 = 0xD6E8_FEB8_6659_FD93;
+
 /// Named interference intensity presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoiseProfile {
@@ -134,63 +140,98 @@ impl InterferenceModel {
         let h = splitmix64(
             self.seed
                 .wrapping_mul(stream)
-                .wrapping_add(a.wrapping_mul(0xD6E8_FEB8_6659_FD93))
+                .wrapping_add(a.wrapping_mul(OST_MUL))
                 .wrapping_add(b),
         );
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Does an episode start on `ost` at `slot`, and if so how long and how
-    /// severe? Pure function of `(seed, ost, slot)`.
-    fn episode_at(&self, ost: u32, slot: i64) -> Option<(u32, f64)> {
-        if slot < 0 || self.p_start == 0.0 {
-            return None;
-        }
-        if self.unit(0x8CB9_2BA7_2F3D_8DD7, ost as u64, slot as u64) >= self.p_start {
-            return None;
-        }
-        let dwell_draw = self.unit(0xAEF1_7502_C3A8_8C59, ost as u64, slot as u64);
-        let dwell = 1 + (dwell_draw * self.max_dwell_slots as f64) as u32;
-        let sev_draw = self.unit(0x3C79_AC49_2BA7_B653, ost as u64, slot as u64);
-        let slowdown = self.slowdown_min + sev_draw * (self.slowdown_max - self.slowdown_min);
-        Some((dwell.min(self.max_dwell_slots), slowdown))
+    /// Per-OST row of the episode-start hash: the draw behind
+    /// `unit(START_STREAM, ost, slot)` is `splitmix64(start_row(ost) +
+    /// slot)`, so a sweep over start slots hoists everything but the slot
+    /// out of its loop.
+    fn start_row(&self, ost: u32) -> u64 {
+        self.seed
+            .wrapping_mul(START_STREAM)
+            .wrapping_add((ost as u64).wrapping_mul(OST_MUL))
     }
 
-    /// Slowdown factor of `ost` during `slot` (1.0 when idle): the worst
-    /// episode covering the slot, looking back at most `max_dwell_slots`.
-    fn ost_slowdown_at(&self, ost: u32, slot: i64) -> f64 {
-        let mut worst = 1.0f64;
-        for back in 0..self.max_dwell_slots as i64 {
-            if let Some((dwell, slowdown)) = self.episode_at(ost, slot - back) {
-                if dwell as i64 > back {
-                    worst = worst.max(slowdown);
-                }
-            }
-        }
-        worst
+    /// Integer form of the episode-start test `unit(..) < p_start`: an
+    /// episode starts at `slot` iff `splitmix64(start_row + slot) >> 11` is
+    /// below this threshold. Exact for every `p_start` but NaN, since
+    /// `(h >> 11) as f64` and the scalings by 2^53 are exact and the left
+    /// side is an integer (`as u64` saturates `p_start < 0` to 0 and
+    /// `p_start >= 1` past every 53-bit draw).
+    fn start_threshold(&self) -> u64 {
+        (self.p_start * (1u64 << 53) as f64).ceil() as u64
+    }
+
+    /// Dwell (slots) and slowdown of the episode that starts on `ost` at
+    /// `slot`; the caller has already seen the start test pass. Pure
+    /// function of `(seed, ost, slot)`.
+    fn episode(&self, ost: u32, slot: u64) -> (u32, f64) {
+        let dwell_draw = self.unit(0xAEF1_7502_C3A8_8C59, ost as u64, slot);
+        let dwell = 1 + (dwell_draw * self.max_dwell_slots as f64) as u32;
+        let sev_draw = self.unit(0x3C79_AC49_2BA7_B653, ost as u64, slot);
+        let slowdown = self.slowdown_min + sev_draw * (self.slowdown_max - self.slowdown_min);
+        (dwell.min(self.max_dwell_slots), slowdown)
     }
 
     /// Storage-path slowdown over the window `[t0, t0 + dur)` for a
     /// transfer striped over OSTs `first_ost..first_ost + n_osts`: the
     /// slot-averaged max across the engaged OSTs (the slowest stripe gates
     /// the transfer). Returns 1.0 for an empty window.
+    ///
+    /// Per engaged OST the window's candidate episode starts,
+    /// `[lo - max_dwell_slots + 1, end)` clamped at slot 0, are each hashed
+    /// once; an episode found raises the running maximum of every window
+    /// slot it covers, and the per-slot maxima are summed in slot order.
+    /// A window of `S` slots thus costs `S + max_dwell_slots - 1` start
+    /// hashes per OST.
+    ///
+    /// OST ids are `first_ost.wrapping_add(i)`, not reduced modulo the
+    /// file system's OST count, so a stripe that runs past the last OST
+    /// draws episodes for OSTs that do not exist instead of wrapping onto
+    /// real ones. Every committed storm result depends on that, so it is
+    /// kept as is.
     pub fn storage_slowdown(&self, t0: f64, dur: f64, first_ost: u32, n_osts: u32) -> f64 {
         if self.p_start == 0.0 || dur <= 0.0 || n_osts == 0 {
             return 1.0;
         }
         let lo = (t0 / SLOT_S).floor() as i64;
         let hi = ((t0 + dur) / SLOT_S).ceil() as i64;
-        let mut acc = 0.0;
-        let mut slots = 0u32;
-        for slot in lo..hi.max(lo + 1) {
-            let mut worst = 1.0f64;
-            for i in 0..n_osts {
-                worst = worst.max(self.ost_slowdown_at(first_ost.wrapping_add(i), slot));
+        let end = hi.max(lo + 1);
+        let len = (end - lo) as usize;
+        // Per-slot maxima, on the stack for every window the campaigns
+        // produce (a few slots); longer windows fall back to the heap.
+        let mut stack = [1.0f64; 64];
+        let mut heap = Vec::new();
+        let worst: &mut [f64] = if len <= stack.len() {
+            &mut stack[..len]
+        } else {
+            heap.resize(len, 1.0);
+            &mut heap
+        };
+        let threshold = self.start_threshold();
+        let first_start = lo.saturating_sub(self.max_dwell_slots as i64 - 1).max(0);
+        for i in 0..n_osts {
+            let ost = first_ost.wrapping_add(i);
+            let row = self.start_row(ost);
+            for start in first_start..end {
+                if splitmix64(row.wrapping_add(start as u64)) >> 11 >= threshold {
+                    continue;
+                }
+                let (dwell, slowdown) = self.episode(ost, start as u64);
+                let from = start.max(lo);
+                let to = (start + dwell as i64).min(end);
+                if to > from {
+                    for w in &mut worst[(from - lo) as usize..(to - lo) as usize] {
+                        *w = w.max(slowdown);
+                    }
+                }
             }
-            acc += worst;
-            slots += 1;
         }
-        acc / slots as f64
+        worst.iter().sum::<f64>() / len as f64
     }
 
     /// Network-contention multiplier over the window `[t0, t0 + dur)`:
@@ -278,10 +319,12 @@ mod tests {
         let m = InterferenceModel::new(NoiseProfile::Storm, 11);
         let mut busy = 0u32;
         let mut carried = 0u32;
+        // A one-slot, one-OST window is exactly that OST's slot slowdown.
+        let at = |slot: i64| m.storage_slowdown(slot as f64 * SLOT_S, SLOT_S, 0, 1);
         for slot in 0..4000i64 {
-            if m.ost_slowdown_at(0, slot) > 1.0 {
+            if at(slot) > 1.0 {
                 busy += 1;
-                if m.ost_slowdown_at(0, slot + 1) > 1.0 {
+                if at(slot + 1) > 1.0 {
                     carried += 1;
                 }
             }
