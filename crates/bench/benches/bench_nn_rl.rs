@@ -5,13 +5,17 @@
 //! benches quantify both, down to the single TD update that pre-training
 //! repeats some 10⁵ times, plus the PCA used in offline impact analysis.
 //! `tuner/bo_refit` times one refit of BO's surrogate ensemble, the cost
-//! that dominates a BO campaign, on one and on two threads.
+//! that dominates a BO campaign, on one and on two threads. `nn/tanh`
+//! times 100 24-wide rows of a hidden layer's activation three ways:
+//! the platform libm's `f64::tanh`, which the networks no longer call,
+//! the crate's plain build, and the dispatched lane-wise kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use tunio::EarlyStopAgent;
+use tunio_nn::tanh::{tanh_slice, Build};
 use tunio_nn::{Activation, Network, Optimizer, Pca};
 use tunio_params::ParameterSpace;
 use tunio_rl::logcurve::LogCurveEnv;
@@ -46,6 +50,37 @@ fn bench_network(c: &mut Criterion) {
     let state = vec![0.5, 0.1, 0.3, 0.7];
     group.bench_function("td_update_4x24x2", |b| {
         b.iter(|| black_box(q.td_update(black_box(&state), 1, 0.25)))
+    });
+    group.finish();
+}
+
+fn bench_tanh(c: &mut Criterion) {
+    // 100 rows of a hidden layer's pre-activations, spread over [-3, 3];
+    // each row is one activation call, as in `Network::forward_into`.
+    let rows: Vec<f64> = (0..2400).map(|i| (i as f64 * 0.618).sin() * 3.0).collect();
+    let mut out = rows.clone();
+    let mut group = c.benchmark_group("nn/tanh");
+    group.bench_function("libm_100x24", |b| {
+        b.iter(|| {
+            for (o, x) in out.iter_mut().zip(black_box(&rows)) {
+                *o = x.tanh();
+            }
+            black_box(&out);
+        })
+    });
+    group.bench_function("plain_100x24", |b| {
+        b.iter(|| {
+            out.copy_from_slice(black_box(&rows));
+            out.chunks_mut(24).for_each(|row| Build::Plain.run(row));
+            black_box(&out);
+        })
+    });
+    group.bench_function(format!("dispatched_100x24_{:?}", Build::best()), |b| {
+        b.iter(|| {
+            out.copy_from_slice(black_box(&rows));
+            out.chunks_mut(24).for_each(tanh_slice);
+            black_box(&out);
+        })
     });
     group.finish();
 }
@@ -136,6 +171,7 @@ fn bench_bo_refit(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_network,
+    bench_tanh,
     bench_pca,
     bench_qagent,
     bench_bo_refit

@@ -434,7 +434,7 @@ fn main() -> ExitCode {
         let rc = &outcome.racing;
         println!(
             "racing: {} keys settled from {} samples, {} top-ups, {} discarded early",
-            rc.settled, rc.samples, rc.topups, rc.discards
+            rc.settled, rc.settled_samples, rc.topups, rc.discards
         );
     }
     let res = &outcome.resilience;

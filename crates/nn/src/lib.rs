@@ -6,6 +6,8 @@
 //!
 //! * [`net`] — dense feed-forward networks with ReLU/tanh/sigmoid/linear
 //!   activations, mean-squared-error loss, and SGD / Adam optimizers.
+//! * [`tanh`] — the `tanh` the networks use, with the same bits on
+//!   every host, applied lane-wise over a layer's outputs.
 //! * [`pca`] — principal component analysis via covariance + cyclic Jacobi
 //!   eigendecomposition.
 //!
@@ -15,6 +17,7 @@
 
 pub mod net;
 pub mod pca;
+pub mod tanh;
 
 pub use net::{Activation, Network, Optimizer};
 pub use pca::Pca;

@@ -18,12 +18,14 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, x: f64) -> f64 {
+    /// Apply the activation to every element of `xs` in place. Tanh runs
+    /// the crate's lane-wise [`tanh_slice`](crate::tanh::tanh_slice).
+    fn apply(self, xs: &mut [f64]) {
         match self {
-            Activation::Relu => x.max(0.0),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-            Activation::Linear => x,
+            Activation::Relu => xs.iter_mut().for_each(|x| *x = x.max(0.0)),
+            Activation::Tanh => crate::tanh::tanh_slice(xs),
+            Activation::Sigmoid => xs.iter_mut().for_each(|x| *x = 1.0 / (1.0 + (-*x).exp())),
+            Activation::Linear => {}
         }
     }
 
@@ -218,7 +220,8 @@ impl Network {
 
     /// The forward pass behind every entry point: writes `x` and then
     /// each layer's activations into `acts`, so the output is its last
-    /// [`Self::output_dim`] entries.
+    /// [`Self::output_dim`] entries. A layer writes all its
+    /// pre-activations first, then activates them in one pass.
     fn forward_into(&self, x: &[f64], acts: &mut Vec<f64>) {
         acts.clear();
         acts.extend_from_slice(x);
@@ -232,8 +235,9 @@ impl Network {
                 for (wi, xi) in row.iter().zip(&acts[start..end]) {
                     acc += wi * xi;
                 }
-                acts.push(layer.act.apply(acc));
+                acts.push(acc);
             }
+            layer.act.apply(&mut acts[end..]);
             start = end;
         }
     }
@@ -523,7 +527,7 @@ mod tests {
     fn activation_derivatives_match_definitions() {
         assert_eq!(Activation::Relu.derivative_from_output(2.0), 1.0);
         assert_eq!(Activation::Relu.derivative_from_output(0.0), 0.0);
-        let y = 0.5f64.tanh();
+        let y = crate::tanh::tanh(0.5);
         assert!((Activation::Tanh.derivative_from_output(y) - (1.0 - y * y)).abs() < 1e-12);
         assert_eq!(Activation::Linear.derivative_from_output(123.0), 1.0);
     }

@@ -130,7 +130,7 @@ mod reference {
     fn apply(act: Activation, x: f64) -> f64 {
         match act {
             Activation::Relu => x.max(0.0),
-            Activation::Tanh => x.tanh(),
+            Activation::Tanh => tunio_nn::tanh::tanh(x),
             Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
             Activation::Linear => x,
         }

@@ -328,6 +328,7 @@ pub struct EvalEngine {
     race_discard_log: Mutex<Vec<RaceDiscard>>,
     race_samples: AtomicU64,
     race_settled: AtomicU64,
+    race_settled_samples: AtomicU64,
     race_topups: AtomicU64,
     race_discards: AtomicU64,
     /// When enabled, every charged cache insertion is recorded here so a
@@ -403,6 +404,7 @@ impl EvalEngine {
             race_discard_log: Mutex::new(Vec::new()),
             race_samples: AtomicU64::new(0),
             race_settled: AtomicU64::new(0),
+            race_settled_samples: AtomicU64::new(0),
             race_topups: AtomicU64::new(0),
             race_discards: AtomicU64::new(0),
             journal: Mutex::new(None),
@@ -859,6 +861,7 @@ impl EvalEngine {
         RacingCounters {
             samples: self.race_samples.load(Ordering::Relaxed),
             settled: self.race_settled.load(Ordering::Relaxed),
+            settled_samples: self.race_settled_samples.load(Ordering::Relaxed),
             topups: self.race_topups.load(Ordering::Relaxed),
             discards: self.race_discards.load(Ordering::Relaxed),
         }
@@ -980,6 +983,8 @@ impl EvalEngine {
         }
         self.race_settled.fetch_add(1, Ordering::Relaxed);
         self.m_race_settled.inc(1);
+        self.race_settled_samples
+            .fetch_add(state.attempts as u64, Ordering::Relaxed);
         self.race_topups.fetch_add(topups as u64, Ordering::Relaxed);
         self.m_race_topups.inc(topups as u64);
 

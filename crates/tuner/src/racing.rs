@@ -137,10 +137,16 @@ pub struct RaceDiscard {
 /// Racing activity counters (for benches, reports and metrics scrapes).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct RacingCounters {
-    /// Raw single-run samples executed (warm + top-up).
+    /// Raw single-run samples executed (warm + top-up). Warm samples of
+    /// keys that never settle count too, so this depends on evaluator
+    /// timing.
     pub samples: u64,
     /// Keys settled through the racing path.
     pub settled: u64,
+    /// Samples the settled keys consumed (warm + top-up), summed at
+    /// settle time. Settles run in commit order, so unlike `samples`
+    /// this is the same for every thread count.
+    pub settled_samples: u64,
     /// Top-up samples run at the commit frontier.
     pub topups: u64,
     /// Keys discarded early as clear losers.
