@@ -20,6 +20,7 @@ use std::sync::{Mutex, MutexGuard};
 use tunio::pipeline::{run_campaign, CampaignOutcome, CampaignSpec, PipelineKind};
 use tunio_iosim::{compare_profiles, render_diff, Layer, Profile};
 use tunio_trace::report;
+use tunio_trace::sync::lock;
 use tunio_workloads::{hacc, Variant};
 
 /// Layer self-time regressions beyond this fraction fail the gate.
@@ -35,7 +36,7 @@ fn baseline_path() -> PathBuf {
 static TRACER: Mutex<()> = Mutex::new(());
 
 fn tracer_turn() -> MutexGuard<'static, ()> {
-    TRACER.lock().unwrap_or_else(|e| e.into_inner())
+    lock(&TRACER)
 }
 
 /// Run the smoke campaign while holding the tracer lock.

@@ -11,6 +11,7 @@ use tunio::pipeline::{
     StrategyKind,
 };
 use tunio_trace::report::{self, CampaignSummary};
+use tunio_trace::sync::lock;
 use tunio_workloads::{hacc, Variant};
 
 static SINK: Mutex<()> = Mutex::new(());
@@ -22,7 +23,7 @@ fn traced(
     spec: &CampaignSpec,
     strategy: StrategyKind,
 ) -> (CampaignOutcome, CampaignSummary) {
-    let _turn = SINK.lock().unwrap_or_else(|e| e.into_inner());
+    let _turn = lock(&SINK);
     let path = std::env::temp_dir().join(format!("tunio_trace_roundtrip_{name}.jsonl"));
     tunio_trace::install_jsonl_sink(&path).expect("open sink");
     let outcome = run_strategy_campaign_opts(spec, strategy, &CampaignOptions::default())

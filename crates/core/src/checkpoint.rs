@@ -525,9 +525,14 @@ pub fn load(path: &Path) -> Result<(CheckpointHeader, Vec<CheckpointGeneration>)
 
     let mut generations: Vec<CheckpointGeneration> = Vec::new();
     for line in lines {
-        let line = line?;
-        // A torn or otherwise damaged line ends the trusted prefix: every
-        // generation after it was logged later and cannot be validated.
+        // A torn or otherwise damaged line (unparseable, or not UTF-8)
+        // ends the trusted prefix: every generation after it was logged
+        // later and cannot be validated.
+        let line = match line {
+            Ok(line) => line,
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => break,
+            Err(e) => return Err(e.into()),
+        };
         let Ok(value) = serde_json::from_str::<Value>(&line) else {
             break;
         };
@@ -743,6 +748,39 @@ mod tests {
 
         let (_, gens) = load(&path).unwrap();
         assert_eq!(gens.len(), 2, "the torn line must not be trusted");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_utf8_line_ends_the_trusted_prefix() {
+        let dir = std::env::temp_dir().join("tunio-ckpt-non-utf8");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.jsonl");
+        let mut w = CheckpointWriter::create(&path, &header()).unwrap();
+        for i in 1..=3 {
+            w.write_generation(&generation(i)).unwrap();
+        }
+        drop(w);
+        // Corrupt one byte of generation 2's line; it used to fail the
+        // whole load with an I/O error, so a scan quarantined the WAL.
+        let mut raw = std::fs::read(&path).unwrap();
+        let line_starts: Vec<usize> = std::iter::once(0)
+            .chain(
+                raw.iter()
+                    .enumerate()
+                    .filter(|(_, &b)| b == b'\n')
+                    .map(|(i, _)| i + 1),
+            )
+            .collect();
+        raw[line_starts[2] + 1] = 0xFF;
+        std::fs::write(&path, raw).unwrap();
+
+        let (_, gens) = load(&path).unwrap();
+        assert_eq!(
+            gens.len(),
+            1,
+            "lines from the damaged one on are not trusted"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -25,8 +25,9 @@ use crate::smart_config::SmartConfigAgent;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use tunio_trace as trace;
+use tunio_trace::sync::lock;
 
 /// Whether a pretrained agent came from the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,11 +118,6 @@ impl PretrainCache {
         let agent = lock(map).entry(key).or_insert(trained).clone();
         (agent, Lookup::Miss)
     }
-}
-
-/// Training runs outside the lock, so a poisoned map is still whole.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

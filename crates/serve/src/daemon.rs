@@ -26,9 +26,8 @@ use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 use tunio::checkpoint::{load, scan_dir, CheckpointHeader};
 use tunio::pipeline::{
     outcome_json, run_strategy_campaign_opts, spec_from_header, CampaignOptions, CampaignSpec,
@@ -38,16 +37,9 @@ use tunio::pretrain::PretrainCache;
 use tunio_iosim::{FaultPlan, NoiseProfile};
 use tunio_trace as trace;
 use tunio_trace::http::{Request, Response, Server, JSON, NDJSON};
+use tunio_trace::sync::{lock, wait};
 use tunio_tuner::{CacheEntry, EvalCounters, RacingConfig};
 use tunio_workloads::Variant;
-
-/// Acquire a mutex, recovering from poisoning: a worker that panicked
-/// inside a campaign must not wedge the daemon's bookkeeping. All state
-/// behind these locks is updated transactionally (full-record writes),
-/// so a poisoned guard's data is still consistent.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Daemon configuration (CLI flags map 1:1).
 #[derive(Debug, Clone)]
@@ -654,6 +646,17 @@ impl Shared {
         self.config.wal_dir.join(format!("{id}.outcome.json"))
     }
 
+    /// Refuse new submissions and wake every idle worker so it exits
+    /// once the queue is empty. `draining` is stored under the queue
+    /// mutex: a worker checks it and starts waiting while holding that
+    /// mutex, so a store made outside it could land between the check
+    /// and the wait, and the wake-up would be lost.
+    fn start_drain(&self) {
+        let _queue = lock(&self.queue);
+        self.draining.store(true, Ordering::SeqCst);
+        self.queue_cv.notify_all();
+    }
+
     fn meta_path(&self, id: &str) -> PathBuf {
         self.config.wal_dir.join(format!("{id}.meta.json"))
     }
@@ -776,11 +779,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if shared.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap_or_else(PoisonError::into_inner);
-                q = guard;
+                q = wait(&shared.queue_cv, q);
             }
         };
         match next {
@@ -1185,8 +1184,7 @@ fn handle_request(shared: &Arc<Shared>, req: &Request) -> Response {
         ("GET", "/metrics") => return trace::metrics_response(),
         ("GET", "/healthz") => (200, "{\"status\":\"ok\"}".to_string()),
         ("POST", "/drain") => {
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.queue_cv.notify_all();
+            shared.start_drain();
             (200, "{\"state\":\"draining\"}".to_string())
         }
         ("POST", "/campaigns") => {
@@ -1383,8 +1381,7 @@ impl Daemon {
     /// Start a graceful drain: refuse new submissions, let queued and
     /// running campaigns finish.
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        self.shared.start_drain();
     }
 
     /// Whether a drain has been requested (via [`Daemon::drain`] or
@@ -1415,8 +1412,7 @@ impl Drop for Daemon {
         // Only the listener (the server field stops on drop): workers
         // may be mid-campaign, and killing a campaign abruptly is exactly
         // what the WAL makes safe.
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        self.shared.start_drain();
     }
 }
 

@@ -14,9 +14,9 @@
 
 use crate::http::{Response, Server, PROMETHEUS};
 use crate::metrics::{MetricSnapshot, MetricValue};
-use parking_lot::Mutex;
+use crate::sync::lock;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 fn help_registry() -> &'static Mutex<HashMap<String, String>> {
     static HELP: OnceLock<Mutex<HashMap<String, String>>> = OnceLock::new();
@@ -28,9 +28,7 @@ fn help_registry() -> &'static Mutex<HashMap<String, String>> {
 /// family never described falls back to its own name, so every exported
 /// family always carries a `# HELP` line.
 pub fn describe(name: &str, help: &str) {
-    help_registry()
-        .lock()
-        .insert(name.to_string(), help.to_string());
+    lock(help_registry()).insert(name.to_string(), help.to_string());
 }
 
 /// Escape help text per the exposition format: backslash and newline.
@@ -115,8 +113,7 @@ pub fn render_prometheus(snapshots: &[MetricSnapshot]) -> String {
             MetricValue::Histogram(_) => "summary",
         };
         if last_typed.as_deref() != Some(name.as_str()) {
-            let help = help_registry()
-                .lock()
+            let help = lock(help_registry())
                 .get(&snap.name)
                 .cloned()
                 .unwrap_or_else(|| snap.name.clone());

@@ -64,6 +64,7 @@ pub mod http;
 pub mod metrics;
 pub mod report;
 pub mod sink;
+pub mod sync;
 pub mod timeline;
 
 pub use expose::{metrics_response, render_global, render_prometheus, serve_metrics};
@@ -71,12 +72,12 @@ pub use metrics::{Counter, Gauge, Histogram, MetricSnapshot};
 pub use sink::{JsonlSink, MemorySink, Sink};
 pub use timeline::Timeline;
 
-use parking_lot::RwLock;
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+use sync::lock;
 
 /// A typed field value attached to a record.
 #[derive(Debug, Clone, PartialEq)]
@@ -229,7 +230,11 @@ impl Drop for ContextGuard {
 struct Tracer {
     enabled: AtomicBool,
     epoch: Instant,
-    sink: RwLock<Option<Arc<dyn Sink>>>,
+    /// The installed sink. `emit` holds this lock across
+    /// [`Sink::emit`], so [`clear_sink`] waits for in-flight emits
+    /// before it flushes; both sinks serialize on their own mutex
+    /// anyway, and neither calls back into the tracer.
+    sink: Mutex<Option<Arc<dyn Sink>>>,
     metrics: metrics::Registry,
 }
 
@@ -238,7 +243,7 @@ fn tracer() -> &'static Tracer {
     TRACER.get_or_init(|| Tracer {
         enabled: AtomicBool::new(false),
         epoch: Instant::now(),
-        sink: RwLock::new(None),
+        sink: Mutex::new(None),
         metrics: metrics::Registry::new(),
     })
 }
@@ -253,14 +258,14 @@ pub fn enabled() -> bool {
 /// Install a sink; subsequent events and spans flow into it.
 pub fn set_sink(sink: Arc<dyn Sink>) {
     let t = tracer();
-    *t.sink.write() = Some(sink);
+    *lock(&t.sink) = Some(sink);
     t.enabled.store(true, Ordering::Relaxed);
 }
 
 /// Remove the active sink (flushing it) and disable emission.
 pub fn clear_sink() {
     let t = tracer();
-    let old = t.sink.write().take();
+    let old = lock(&t.sink).take();
     t.enabled.store(false, Ordering::Relaxed);
     if let Some(s) = old {
         s.flush();
@@ -283,7 +288,7 @@ pub fn install_jsonl_sink(path: &std::path::Path) -> std::io::Result<()> {
 
 /// Flush the active sink (no-op when none is installed).
 pub fn flush() {
-    if let Some(s) = tracer().sink.read().as_ref() {
+    if let Some(s) = lock(&tracer().sink).as_ref() {
         s.flush();
     }
 }
@@ -297,7 +302,7 @@ fn emit(record: Record) {
     if let (Some(tid), Some(sid), Some(dur)) = (record.trace_id, record.span_id, record.dur_us) {
         timeline::ingest(tid, sid, record.parent_id, &record.name, record.t_us, dur);
     }
-    if let Some(s) = tracer().sink.read().as_ref() {
+    if let Some(s) = lock(&tracer().sink).as_ref() {
         s.emit(&record);
     }
     if let Some(tid) = record.trace_id {
@@ -548,8 +553,8 @@ mod tests {
     // The tracer is process-global, so sink-swapping tests share one
     // lock to avoid interleaving.
     pub(crate) fn sink_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
+        static LOCK: Mutex<()> = Mutex::new(());
+        lock(&LOCK)
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! Unlike events, metrics stay live even without a sink — they replace
 //! the ad-hoc `AtomicU64` counters subsystems used to keep by hand.
 
+use crate::sync::lock;
 use crate::FieldValue;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Monotonically increasing counter.
 #[derive(Debug, Clone)]
@@ -92,7 +92,7 @@ pub struct Histogram(Arc<Mutex<HistogramData>>);
 impl Histogram {
     /// Record one sample.
     pub fn record(&self, v: f64) {
-        let mut d = self.0.lock();
+        let mut d = lock(&self.0);
         if d.count == 0 {
             d.min = v;
             d.max = v;
@@ -106,7 +106,7 @@ impl Histogram {
 
     /// Snapshot the aggregated state.
     pub fn get(&self) -> HistogramData {
-        *self.0.lock()
+        *lock(&self.0)
     }
 }
 
@@ -196,7 +196,7 @@ impl Registry {
     }
 
     pub(crate) fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
-        let mut m = self.metrics.lock();
+        let mut m = lock(&self.metrics);
         match m
             .entry(Self::key(name, labels))
             .or_insert_with(|| Metric::Counter(Counter(Arc::new(AtomicU64::new(0)))))
@@ -207,7 +207,7 @@ impl Registry {
     }
 
     pub(crate) fn gauge(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Gauge {
-        let mut m = self.metrics.lock();
+        let mut m = lock(&self.metrics);
         match m
             .entry(Self::key(name, labels))
             .or_insert_with(|| Metric::Gauge(Gauge(Arc::new(AtomicU64::new(0)))))
@@ -222,7 +222,7 @@ impl Registry {
         name: &'static str,
         labels: &[(&'static str, &str)],
     ) -> Histogram {
-        let mut m = self.metrics.lock();
+        let mut m = lock(&self.metrics);
         match m.entry(Self::key(name, labels)).or_insert_with(|| {
             Metric::Histogram(Histogram(Arc::new(Mutex::new(HistogramData::empty()))))
         }) {
@@ -232,7 +232,7 @@ impl Registry {
     }
 
     pub(crate) fn snapshot(&self) -> Vec<MetricSnapshot> {
-        let m = self.metrics.lock();
+        let m = lock(&self.metrics);
         let mut out: Vec<MetricSnapshot> = m
             .iter()
             .map(|(key, metric)| MetricSnapshot {
@@ -254,12 +254,12 @@ impl Registry {
     }
 
     pub(crate) fn reset(&self) {
-        let m = self.metrics.lock();
+        let m = lock(&self.metrics);
         for metric in m.values() {
             match metric {
                 Metric::Counter(c) => c.0.store(0, Ordering::Relaxed),
                 Metric::Gauge(g) => g.0.store(0.0f64.to_bits(), Ordering::Relaxed),
-                Metric::Histogram(h) => *h.0.lock() = HistogramData::empty(),
+                Metric::Histogram(h) => *lock(&h.0) = HistogramData::empty(),
             }
         }
     }

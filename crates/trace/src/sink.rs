@@ -1,11 +1,12 @@
 //! Pluggable trace sinks.
 
+use crate::sync::lock;
 use crate::{FieldValue, Record};
-use parking_lot::Mutex;
 use serde_json::Value;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+use std::sync::Mutex;
 
 /// Receives every emitted record. Implementations must be cheap enough
 /// to call from the tuning hot path (the JSON-lines sink buffers; the
@@ -26,23 +27,23 @@ pub struct MemorySink {
 impl MemorySink {
     /// Drain and return everything captured so far, in emission order.
     pub fn take(&self) -> Vec<Record> {
-        std::mem::take(&mut self.records.lock())
+        std::mem::take(&mut lock(&self.records))
     }
 
     /// Number of captured records.
     pub fn len(&self) -> usize {
-        self.records.lock().len()
+        lock(&self.records).len()
     }
 
     /// Whether nothing has been captured.
     pub fn is_empty(&self) -> bool {
-        self.records.lock().is_empty()
+        lock(&self.records).is_empty()
     }
 }
 
 impl Sink for MemorySink {
     fn emit(&self, record: &Record) {
-        self.records.lock().push(record.clone());
+        lock(&self.records).push(record.clone());
     }
 }
 
@@ -152,12 +153,12 @@ impl JsonlSink {
 impl Sink for JsonlSink {
     fn emit(&self, record: &Record) {
         let line = record_to_json(record);
-        let mut w = self.writer.lock();
+        let mut w = lock(&self.writer);
         let _ = writeln!(w, "{line}");
     }
 
     fn flush(&self) {
-        let _ = self.writer.lock().flush();
+        let _ = lock(&self.writer).flush();
     }
 }
 

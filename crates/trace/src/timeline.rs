@@ -34,11 +34,11 @@
 //! field), so the two reconstructions are equal — a property the bench
 //! suite asserts.
 
+use crate::sync::lock;
 use crate::{FieldValue, Record};
-use parking_lot::Mutex;
 use serde_json::Value;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Exclusive wall-clock segment kinds, in render order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -508,7 +508,7 @@ fn store() -> &'static Mutex<Store> {
 /// (the serve daemon calls this at submission so queue wait is visible
 /// in live snapshots before any span has closed).
 pub fn register(trace_id: u64, started_us: u64) {
-    let mut s = store().lock();
+    let mut s = lock(store());
     let t = s.touch(trace_id, started_us);
     // A fresh entry keeps the caller's start; an existing entry only
     // moves earlier, never later.
@@ -526,7 +526,7 @@ pub(crate) fn ingest(
     start_us: u64,
     dur_us: u64,
 ) {
-    let mut s = store().lock();
+    let mut s = lock(store());
     let t = s.touch(trace_id, start_us);
     if t.spans.is_empty() {
         t.started_us = t.started_us.min(start_us);
@@ -547,14 +547,14 @@ pub(crate) fn ingest(
 /// Freeze the root's overhead field into the store (see
 /// [`LiveTrace::frozen_overhead_us`]).
 pub(crate) fn freeze_overhead(trace_id: u64, overhead_us: u64) {
-    let mut s = store().lock();
+    let mut s = lock(store());
     let t = s.touch(trace_id, 0);
     t.frozen_overhead_us = Some(overhead_us);
 }
 
 /// Accumulate tracing-overhead nanoseconds against a trace.
 pub(crate) fn add_overhead_ns(trace_id: u64, ns: u64) {
-    let mut s = store().lock();
+    let mut s = lock(store());
     if let Some(t) = s.traces.get_mut(&trace_id) {
         t.overhead_ns += ns;
     }
@@ -562,7 +562,7 @@ pub(crate) fn add_overhead_ns(trace_id: u64, ns: u64) {
 
 /// The trace's accumulated tracing overhead, microseconds.
 pub fn overhead_us(trace_id: u64) -> u64 {
-    let s = store().lock();
+    let s = lock(store());
     s.traces.get(&trace_id).map_or(0, |t| t.overhead_ns / 1_000)
 }
 
@@ -573,7 +573,7 @@ pub fn overhead_us(trace_id: u64) -> u64 {
 /// `now_us` and the overhead is the running accumulator.
 pub fn snapshot(trace_id: u64, now_us: u64) -> Option<Timeline> {
     let (spans, started_us, overhead_ns, frozen) = {
-        let mut s = store().lock();
+        let mut s = lock(store());
         s.clock += 1;
         let clock = s.clock;
         let t = s.traces.get_mut(&trace_id)?;
@@ -598,7 +598,7 @@ pub fn snapshot(trace_id: u64, now_us: u64) -> Option<Timeline> {
 /// Drop a trace from the live store (the serve daemon calls this after
 /// caching a finished campaign's timeline).
 pub fn forget(trace_id: u64) {
-    store().lock().traces.remove(&trace_id);
+    lock(store()).traces.remove(&trace_id);
 }
 
 fn build(

@@ -31,16 +31,16 @@
 //! time spent inside the simulator, for the bench binaries.
 
 use crate::racing::{Moments, RaceDiscard, RaceOutcome, RacingConfig, RacingCounters};
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 use tunio_iosim::{noise, FaultKind, InjectedFault, Layer, Profile, RunReport, Simulator};
 use tunio_params::{Configuration, ParameterSpace};
 use tunio_trace as trace;
+use tunio_trace::sync::{lock, wait};
 use tunio_workloads::Workload;
 
 /// Result of evaluating one configuration.
@@ -212,23 +212,23 @@ const SHARDS: usize = 16;
 /// holding the shard lock — until the result is published.
 #[derive(Debug, Default)]
 struct InFlight {
-    result: StdMutex<Option<(RunReport, f64)>>,
+    result: Mutex<Option<(RunReport, f64)>>,
     ready: Condvar,
 }
 
 impl InFlight {
     fn wait(&self) -> (RunReport, f64) {
-        let mut guard = self.result.lock().unwrap_or_else(|p| p.into_inner());
+        let mut guard = lock(&self.result);
         loop {
             if let Some(v) = *guard {
                 return v;
             }
-            guard = self.ready.wait(guard).unwrap_or_else(|p| p.into_inner());
+            guard = wait(&self.ready, guard);
         }
     }
 
     fn publish(&self, value: (RunReport, f64)) {
-        *self.result.lock().unwrap_or_else(|p| p.into_inner()) = Some(value);
+        *lock(&self.result) = Some(value);
         self.ready.notify_all();
     }
 }
@@ -279,7 +279,7 @@ struct PendingGuard<'a> {
 impl Drop for PendingGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            self.engine.shards[self.shard_idx].lock().remove(self.key);
+            lock(&self.engine.shards[self.shard_idx]).remove(self.key);
             self.inflight
                 .publish((RunReport::default(), self.engine.policy.penalty_perf));
         }
@@ -369,7 +369,7 @@ pub(crate) type GateFn = Arc<dyn Fn(&[usize]) + Send + Sync>;
 /// serialize behind one another.
 #[cfg(test)]
 #[derive(Default)]
-struct SimGate(StdMutex<Option<GateFn>>);
+struct SimGate(Mutex<Option<GateFn>>);
 
 #[cfg(test)]
 impl std::fmt::Debug for SimGate {
@@ -443,7 +443,7 @@ impl EvalEngine {
     /// stall or panic chosen evaluations.
     #[cfg(test)]
     pub(crate) fn install_sim_gate(&self, gate: GateFn) {
-        *self.sim_gate.0.lock().unwrap_or_else(|p| p.into_inner()) = Some(gate);
+        *lock(&self.sim_gate.0) = Some(gate);
     }
 
     fn shard_of(key: &[usize]) -> usize {
@@ -467,12 +467,7 @@ impl EvalEngine {
     ) -> Result<(RunReport, Profile), AttemptError> {
         #[cfg(test)]
         {
-            let gate = self
-                .sim_gate
-                .0
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .clone();
+            let gate = lock(&self.sim_gate.0).clone();
             if let Some(gate) = gate {
                 gate(config.genes());
             }
@@ -548,9 +543,7 @@ impl EvalEngine {
     /// the one worker evaluating it.
     fn simulate_resilient(&self, config: &Configuration) -> SimOutcome {
         let key = config.genes();
-        let base = self
-            .fail_state
-            .lock()
+        let base = lock(&self.fail_state)
             .get(key)
             .map_or(0, |s| s.attempts_used);
         let tries = self.policy.max_retries + 1;
@@ -558,7 +551,7 @@ impl EvalEngine {
             match self.sample(config, 0..self.repeats.max(1), base + t) {
                 Ok((report, profile)) => {
                     if base > 0 || t > 0 {
-                        let mut states = self.fail_state.lock();
+                        let mut states = lock(&self.fail_state);
                         let state = states.entry(key.to_vec()).or_default();
                         state.attempts_used += t + 1;
                         state.consecutive_failures = 0;
@@ -590,7 +583,7 @@ impl EvalEngine {
         self.failed_evaluations.fetch_add(1, Ordering::Relaxed);
         self.m_failures.inc(1);
         let newly_quarantined = {
-            let mut states = self.fail_state.lock();
+            let mut states = lock(&self.fail_state);
             let state = states.entry(key.to_vec()).or_default();
             state.attempts_used += tries;
             state.consecutive_failures += 1;
@@ -614,8 +607,7 @@ impl EvalEngine {
 
     /// True when the key's circuit breaker is open.
     fn is_quarantined(&self, key: &[usize]) -> bool {
-        self.fail_state
-            .lock()
+        lock(&self.fail_state)
             .get(key)
             .is_some_and(|s| s.quarantined)
     }
@@ -635,11 +627,11 @@ impl EvalEngine {
     /// journaling is enabled. Entries land in completion order; the
     /// checkpoint writer files them by the scheduler's commit order.
     fn journal_push(&self, key: &[usize], report: &RunReport, perf: f64, profile: &Profile) {
-        if let Some(journal) = self.journal.lock().as_mut() {
+        if let Some(journal) = lock(&self.journal).as_mut() {
             // Raced keys carry their (sample count, M2) so a resumed
             // campaign restores the racing moments bitwise; the pair is
             // (0, 0.0) — and omitted from the WAL — for fixed repeats.
-            let (samples, m2) = self.race_meta.lock().get(key).copied().unwrap_or((0, 0.0));
+            let (samples, m2) = lock(&self.race_meta).get(key).copied().unwrap_or((0, 0.0));
             journal.push(CacheEntry {
                 key: key.to_vec(),
                 report: *report,
@@ -653,7 +645,7 @@ impl EvalEngine {
 
     /// Start recording charged cache insertions for checkpointing.
     pub fn enable_journal(&self) {
-        let mut journal = self.journal.lock();
+        let mut journal = lock(&self.journal);
         if journal.is_none() {
             *journal = Some(Vec::new());
         }
@@ -662,7 +654,7 @@ impl EvalEngine {
     /// Take the cache entries recorded since the last drain (empty unless
     /// [`EvalEngine::enable_journal`] was called).
     pub fn drain_journal(&self) -> Vec<CacheEntry> {
-        match self.journal.lock().as_mut() {
+        match lock(&self.journal).as_mut() {
             Some(journal) => std::mem::take(journal),
             None => Vec::new(),
         }
@@ -677,11 +669,9 @@ impl EvalEngine {
                 // Restore the key's racing provenance so the replayed
                 // entry re-journals with its moments intact and a race
                 // warm short-circuits to the memoized aggregate.
-                self.race_meta
-                    .lock()
-                    .insert(e.key.clone(), (e.samples, e.m2));
+                lock(&self.race_meta).insert(e.key.clone(), (e.samples, e.m2));
             }
-            let mut shard = self.shards[Self::shard_of(&e.key)].lock();
+            let mut shard = lock(&self.shards[Self::shard_of(&e.key)]);
             shard
                 .entry(e.key)
                 .or_insert_with(|| Slot::Replay(Box::new((e.report, e.perf, e.profile))));
@@ -697,8 +687,7 @@ impl EvalEngine {
                 self.m_noise_interference.record(stat.self_s);
             }
         }
-        self.profiles
-            .lock()
+        lock(&self.profiles)
             .entry(key.to_vec())
             .or_default()
             .absorb(profile);
@@ -723,7 +712,7 @@ impl EvalEngine {
         }
 
         let claim = {
-            let mut shard = self.shards[shard_idx].lock();
+            let mut shard = lock(&self.shards[shard_idx]);
             match shard.get(&key) {
                 Some(Slot::Ready(report, perf)) => Claim::Hit(*report, *perf),
                 Some(Slot::Pending(inflight)) => Claim::Join(inflight.clone()),
@@ -761,8 +750,7 @@ impl EvalEngine {
                 match outcome {
                     SimOutcome::Success(report, profile, perf) => {
                         guard.armed = false;
-                        self.shards[shard_idx]
-                            .lock()
+                        lock(&self.shards[shard_idx])
                             .insert(key.clone(), Slot::Ready(report, perf));
                         inflight.publish((report, perf));
                         return self.charge_miss(config, &key, report, perf, &profile);
@@ -797,7 +785,7 @@ impl EvalEngine {
         perf: f64,
         profile: &Profile,
     ) -> Evaluation {
-        *self.charged_cost_s.lock() += report.elapsed_s;
+        *lock(&self.charged_cost_s) += report.elapsed_s;
         self.evaluations.fetch_add(1, Ordering::Relaxed);
         self.m_misses.inc(1);
         self.m_cost.record(report.elapsed_s);
@@ -829,7 +817,7 @@ impl EvalEngine {
     /// thread count or completion order.
     pub fn profile_snapshot(&self) -> Profile {
         let mut pooled = Profile::new();
-        for profile in self.profiles.lock().values() {
+        for profile in lock(&self.profiles).values() {
             pooled.absorb(profile);
         }
         pooled
@@ -851,7 +839,7 @@ impl EvalEngine {
         EvalCounters {
             evaluations: self.evaluations(),
             cache_hits: self.cache_hits(),
-            charged_cost_s: *self.charged_cost_s.lock(),
+            charged_cost_s: *lock(&self.charged_cost_s),
             sim_wall_s: self.sim_wall_ns.load(Ordering::Relaxed) as f64 / 1e9,
         }
     }
@@ -869,7 +857,7 @@ impl EvalEngine {
 
     /// The early-discard audit log, in settle (= commit) order.
     pub fn race_discard_log(&self) -> Vec<RaceDiscard> {
-        self.race_discard_log.lock().clone()
+        lock(&self.race_discard_log).clone()
     }
 
     /// Draw the race's next single-run sample, at repeat index
@@ -903,7 +891,7 @@ impl EvalEngine {
         if self.is_quarantined(&key) {
             return self.penalty_evaluation(config);
         }
-        let known = self.shards[Self::shard_of(&key)].lock().contains_key(&key);
+        let known = lock(&self.shards[Self::shard_of(&key)]).contains_key(&key);
         if known {
             return self.evaluate(config);
         }
@@ -918,7 +906,7 @@ impl EvalEngine {
             self.policy.penalty_perf
         };
         let report = RunReport::average(&state.reports);
-        self.races.lock().insert(key, state);
+        lock(&self.races).insert(key, state);
         Evaluation {
             config: config.clone(),
             report,
@@ -949,7 +937,7 @@ impl EvalEngine {
         racing: &RacingConfig,
     ) -> Option<RaceOutcome> {
         let key = config.genes().to_vec();
-        let mut state = self.races.lock().remove(&key)?;
+        let mut state = lock(&self.races).remove(&key)?;
         let max = racing.max_samples.max(racing.min_samples).max(2);
         let mut topups = 0u32;
         let mut discarded = false;
@@ -994,7 +982,7 @@ impl EvalEngine {
         if discarded {
             self.race_discards.fetch_add(1, Ordering::Relaxed);
             self.m_race_discards.inc(1);
-            self.race_discard_log.lock().push(RaceDiscard {
+            lock(&self.race_discard_log).push(RaceDiscard {
                 key: key.clone(),
                 mean,
                 half_width: half,
@@ -1033,12 +1021,8 @@ impl EvalEngine {
         // pooled report/profile carry the bookkeeping.
         let report = RunReport::average(&state.reports);
         let profile = Profile::average(&state.profiles);
-        self.shards[Self::shard_of(&key)]
-            .lock()
-            .insert(key.clone(), Slot::Ready(report, mean));
-        self.race_meta
-            .lock()
-            .insert(key.clone(), (samples, state.perfs.m2));
+        lock(&self.shards[Self::shard_of(&key)]).insert(key.clone(), Slot::Ready(report, mean));
+        lock(&self.race_meta).insert(key.clone(), (samples, state.perfs.m2));
         let eval = self.charge_miss(config, &key, report, mean, &profile);
         Some(RaceOutcome {
             perf: mean,
@@ -1215,10 +1199,10 @@ mod tests {
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = std::sync::Mutex::new(release_rx);
         let gate_key = a_key.clone();
-        *ev.sim_gate.0.lock().unwrap() = Some(Arc::new(move |key: &[usize]| {
+        *lock(&ev.sim_gate.0) = Some(Arc::new(move |key: &[usize]| {
             if key == gate_key.as_slice() {
                 entered_tx.send(()).expect("test alive");
-                release_rx.lock().unwrap().recv().expect("release signal");
+                lock(&release_rx).recv().expect("release signal");
             }
         }));
 
@@ -1486,10 +1470,10 @@ mod tests {
         let release_rx = std::sync::Mutex::new(release_rx);
         let panic_once = AtomicBool::new(true);
         let gate_key = key.clone();
-        *ev.sim_gate.0.lock().unwrap() = Some(Arc::new(move |k: &[usize]| {
+        *lock(&ev.sim_gate.0) = Some(Arc::new(move |k: &[usize]| {
             if k == gate_key.as_slice() && panic_once.swap(false, Ordering::SeqCst) {
                 entered_tx.send(()).ok();
-                release_rx.lock().unwrap().recv().ok();
+                lock(&release_rx).recv().ok();
                 panic!("injected evaluation panic");
             }
         }));
@@ -1500,7 +1484,7 @@ mod tests {
             // Capture the pending marker exactly as a concurrent waiter
             // would see it, then let the evaluation thread panic.
             let inflight = {
-                let shard = ev.shards[EvalEngine::shard_of(&key)].lock();
+                let shard = lock(&ev.shards[EvalEngine::shard_of(&key)]);
                 match shard.get(key.as_slice()) {
                     Some(Slot::Pending(i)) => i.clone(),
                     other => panic!("expected a pending marker, got {other:?}"),
@@ -1518,8 +1502,7 @@ mod tests {
         assert_eq!(report, RunReport::default());
 
         // And the marker is gone, so the key recovers on the next call.
-        assert!(ev.shards[EvalEngine::shard_of(&key)]
-            .lock()
+        assert!(lock(&ev.shards[EvalEngine::shard_of(&key)])
             .get(key.as_slice())
             .is_none());
         let again = ev.evaluate(&cfg);

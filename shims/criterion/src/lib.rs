@@ -6,9 +6,12 @@
 //! `bench_with_input` / `finish`, `BenchmarkId`, and the
 //! `criterion_group!` / `criterion_main!` macros.
 //!
-//! Measurement is deliberately simple — a warm-up pass followed by
-//! `sample_size` timed iterations, reporting mean and best wall time per
-//! iteration to stdout. No statistical analysis, plotting or HTML reports.
+//! Measurement is deliberately simple. Each sample times a batch of
+//! calls, not one call, so that entries of a few nanoseconds rise above
+//! the clock's resolution: the warm-up doubles the batch until one batch
+//! takes at least 1 ms, then `sample_size` batches of that size are
+//! timed, and the mean and best wall time per call go to stdout. No
+//! statistical analysis, plotting or HTML reports.
 
 #![warn(missing_docs)]
 
@@ -17,8 +20,8 @@ use std::time::{Duration, Instant};
 
 /// Number of timed iterations when a group does not override it.
 const DEFAULT_SAMPLE_SIZE: usize = 20;
-/// Warm-up iterations before timing starts.
-const WARMUP_ITERS: usize = 3;
+/// The warm-up grows the batch until one batch takes at least this long.
+const MIN_BATCH_TIME: Duration = Duration::from_millis(1);
 
 /// Top-level benchmark driver.
 #[derive(Default)]
@@ -72,7 +75,7 @@ pub struct BenchmarkGroup<'c> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Set the number of timed iterations for subsequent benchmarks.
+    /// Set the number of timed batches for subsequent benchmarks.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
         self
@@ -84,10 +87,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        let mut bencher = Bencher {
-            sample_size: self.sample_size,
-            samples: Vec::new(),
-        };
+        let mut bencher = Bencher::new(self.sample_size);
         f(&mut bencher);
         bencher.report(&self.name, &id.0);
         self
@@ -104,10 +104,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let id = id.into();
-        let mut bencher = Bencher {
-            sample_size: self.sample_size,
-            samples: Vec::new(),
-        };
+        let mut bencher = Bencher::new(self.sample_size);
         f(&mut bencher, input);
         bencher.report(&self.name, &id.0);
         self
@@ -120,25 +117,35 @@ impl BenchmarkGroup<'_> {
 /// Timing harness handed to each benchmark closure.
 pub struct Bencher {
     sample_size: usize,
+    /// Calls per timed batch, fixed by the warm-up.
+    batch: u64,
+    /// Wall time of each timed batch.
     samples: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Measure `f`: warm up, then time `sample_size` iterations.
+    fn new(sample_size: usize) -> Self {
+        Bencher {
+            sample_size,
+            batch: 1,
+            samples: Vec::new(),
+        }
+    }
+
+    /// Measure `f`: warm up by doubling the batch until one batch takes
+    /// at least 1 ms, then time `sample_size` batches.
     pub fn iter<R, F>(&mut self, mut f: F)
     where
         F: FnMut() -> R,
     {
-        for _ in 0..WARMUP_ITERS {
-            std::hint::black_box(f());
+        let mut batch = 1u64;
+        while time_batch(&mut f, batch) < MIN_BATCH_TIME {
+            batch *= 2;
         }
-        self.samples.clear();
-        self.samples.reserve(self.sample_size);
-        for _ in 0..self.sample_size {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            self.samples.push(start.elapsed());
-        }
+        self.batch = batch;
+        self.samples = (0..self.sample_size)
+            .map(|_| time_batch(&mut f, batch))
+            .collect();
     }
 
     fn report(&self, group: &str, id: &str) {
@@ -146,28 +153,41 @@ impl Bencher {
             println!("{group}/{id}: no samples");
             return;
         }
-        let total: Duration = self.samples.iter().sum();
-        let mean = total / self.samples.len() as u32;
-        let best = self.samples.iter().min().copied().unwrap_or_default();
+        let per_call = |d: &Duration| d.as_nanos() as f64 / self.batch as f64;
+        let mean = self.samples.iter().map(per_call).sum::<f64>() / self.samples.len() as f64;
+        let best = self
+            .samples
+            .iter()
+            .map(per_call)
+            .fold(f64::INFINITY, f64::min);
         println!(
-            "{group}/{id}: mean {} (best {}, {} samples)",
-            fmt_duration(mean),
-            fmt_duration(best),
-            self.samples.len()
+            "{group}/{id}: mean {} (best {}, {} samples of {} calls)",
+            fmt_ns(mean),
+            fmt_ns(best),
+            self.samples.len(),
+            self.batch
         );
     }
 }
 
-fn fmt_duration(d: Duration) -> String {
-    let ns = d.as_nanos();
-    if ns >= 1_000_000_000 {
-        format!("{:.3} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.3} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.3} us", ns as f64 / 1e3)
+/// Wall time of `batch` back-to-back calls of `f`.
+fn time_batch<R, F: FnMut() -> R>(f: &mut F, batch: u64) -> Duration {
+    let start = Instant::now();
+    for _ in 0..batch {
+        std::hint::black_box(f());
+    }
+    start.elapsed()
+}
+
+fn fmt_ns(ns: f64) -> String {
+    if ns >= 1e9 {
+        format!("{:.3} s", ns / 1e9)
+    } else if ns >= 1e6 {
+        format!("{:.3} ms", ns / 1e6)
+    } else if ns >= 1e3 {
+        format!("{:.3} us", ns / 1e3)
     } else {
-        format!("{ns} ns")
+        format!("{ns:.2} ns")
     }
 }
 
@@ -210,5 +230,20 @@ mod tests {
     fn harness_runs_benches() {
         let mut c = Criterion::default();
         sample_bench(&mut c);
+    }
+
+    #[test]
+    fn samples_time_batches_of_the_size_the_warm_up_settled_on() {
+        let mut calls = 0u64;
+        let mut b = Bencher::new(3);
+        b.iter(|| {
+            calls += 1;
+            (0..100u64).sum::<u64>()
+        });
+        assert!(b.batch.is_power_of_two());
+        assert_eq!(b.samples.len(), 3);
+        // Warm-up batches of 1, 2, …, batch calls, then three samples of
+        // `batch` calls each.
+        assert_eq!(calls, (2 * b.batch - 1) + 3 * b.batch);
     }
 }
