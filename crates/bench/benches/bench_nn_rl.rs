@@ -40,18 +40,39 @@ fn bench_network(c: &mut Criterion) {
     group.bench_function("train_step_12x24x4", |b| {
         b.iter(|| black_box(net.train_step(black_box(&x), &y)))
     });
-    // The stop agent's Q-network shape: every offline TD update runs it.
-    let mut q = Network::new(
-        &[4, 24, 2],
-        &[Activation::Tanh, Activation::Linear],
-        Optimizer::Adam { lr: 0.01 },
-        &mut rng,
-    );
-    let state = vec![0.5, 0.1, 0.3, 0.7];
-    group.bench_function("td_update_4x24x2", |b| {
-        b.iter(|| black_box(q.td_update(black_box(&state), 1, 0.25)))
-    });
+    // The agents' Q-network shapes: the stop agent's 4→24→2 and the
+    // subset picker's 6→24→12. Each call learns the next of 64 fixed,
+    // varied transitions, as pretraining does; one transition repeated
+    // would drive Adam's moments subnormal, a regime pretraining never
+    // reaches.
+    for (inputs, outputs) in [(4, 2), (6, 12)] {
+        let mut q = Network::new(
+            &[inputs, 24, outputs],
+            &[Activation::Tanh, Activation::Linear],
+            Optimizer::Adam { lr: 0.01 },
+            &mut rng,
+        );
+        let transitions = transitions(&mut rng, inputs, outputs);
+        let mut next = transitions.iter().cycle();
+        group.bench_function(format!("td_update_{inputs}x24x{outputs}"), |b| {
+            b.iter(|| {
+                let (state, action, value) = next.next().unwrap();
+                black_box(q.td_update(black_box(state), *action, *value))
+            })
+        });
+    }
     group.finish();
+}
+
+/// 64 (state, action, target value) triples, states in [-1, 1] and
+/// values in [-0.5, 0.5].
+fn transitions(rng: &mut StdRng, inputs: usize, actions: usize) -> Vec<(Vec<f64>, usize, f64)> {
+    (0..64)
+        .map(|_| {
+            let state = (0..inputs).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            (state, rng.gen_range(0..actions), rng.gen_range(-0.5..0.5))
+        })
+        .collect()
 }
 
 fn bench_tanh(c: &mut Criterion) {

@@ -490,9 +490,15 @@ impl CheckpointWriter {
 fn parse_header(
     lines: &mut impl Iterator<Item = io::Result<String>>,
 ) -> Result<CheckpointHeader, CheckpointError> {
-    let header_line = lines
-        .next()
-        .ok_or_else(|| CheckpointError::BadHeader("empty file".into()))??;
+    let header_line = match lines.next() {
+        None => return Err(CheckpointError::BadHeader("empty file".into())),
+        // `lines` reports a line that is not UTF-8 as invalid data: the
+        // file is corrupt, the disk is not at fault.
+        Some(Err(e)) if e.kind() == io::ErrorKind::InvalidData => {
+            return Err(CheckpointError::BadHeader(format!("header: {e}")))
+        }
+        Some(line) => line?,
+    };
     let header_value: Value = serde_json::from_str(&header_line)
         .map_err(|e| CheckpointError::BadHeader(format!("unparseable header: {e:?}")))?;
     CheckpointHeader::from_value(&header_value)
@@ -782,6 +788,37 @@ mod tests {
             "lines from the damaged one on are not trusted"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_utf8_header_is_a_bad_header_and_quarantined_as_one() {
+        let dir = std::env::temp_dir().join("tunio-ckpt-non-utf8-header");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.jsonl");
+        let mut w = CheckpointWriter::create(&path, &header()).unwrap();
+        w.write_generation(&generation(1)).unwrap();
+        drop(w);
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[1] = 0xFF;
+        std::fs::write(&path, raw).unwrap();
+
+        let loaded = load(&path);
+        assert!(
+            matches!(loaded, Err(CheckpointError::BadHeader(_))),
+            "{loaded:?}"
+        );
+        assert!(matches!(
+            read_header(&path),
+            Err(CheckpointError::BadHeader(_))
+        ));
+        let scan = scan_dir(&dir, |_| Ok(())).unwrap();
+        assert!(scan.resumable.is_empty());
+        assert_eq!(scan.quarantined.len(), 1);
+        let reason = &scan.quarantined[0].reason;
+        assert!(reason.contains("not a usable checkpoint"), "{reason}");
+        assert!(!reason.contains("I/O"), "{reason}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -316,6 +316,14 @@ mod tests {
         assert!(agent.offline_episodes <= 2000);
     }
 
+    /// The stop agent's Q-network keeps a shape `tunio-nn`'s fixed-shape
+    /// kernel runs; on any other it would pretrain to the same bits, only
+    /// slower.
+    #[test]
+    fn trains_on_the_fixed_shape_kernel() {
+        assert!(EarlyStopAgent::pretrained(30, 1).agent.has_fixed_kernel());
+    }
+
     #[test]
     fn stops_on_fully_saturated_curve_before_budget() {
         let mut agent = EarlyStopAgent::pretrained(50, 2);
@@ -405,6 +413,37 @@ mod tests {
         assert!(!agent.history.is_empty());
         agent.begin_campaign();
         assert!(agent.history.is_empty());
+    }
+
+    /// Restored weights can overflow to NaN Q-values; the decision must
+    /// still come back (it used to panic in the argmax).
+    #[test]
+    fn nan_q_values_from_restored_weights_do_not_panic_a_decision() {
+        let mut agent = EarlyStopAgent::pretrained(30, 1);
+        let mut state = agent.save_state();
+        // Hidden unit 0 weighs the 1-step and 5-step gains by 1e308.
+        let start = state.agent.find(r#""w":["#).unwrap() + r#""w":["#.len();
+        let end = start + state.agent[start..].find(']').unwrap();
+        let mut w: Vec<&str> = state.agent[start..end].split(',').collect();
+        w[1] = "1e308";
+        w[2] = "1e308";
+        state.agent = format!(
+            "{}{}{}",
+            &state.agent[..start],
+            w.join(","),
+            &state.agent[end..]
+        );
+        agent.restore_state(&state).unwrap();
+
+        agent.begin_campaign();
+        for (t, perf) in [1.0, 10.0, 5.0, 5.0, 5.0, 0.0].into_iter().enumerate() {
+            agent.decide(t as u32 + 1, perf);
+        }
+        // At iteration 7 the 1-step gain is +20 and the 5-step gain -180
+        // (normalised by 0.05), so unit 0 sums +inf and -inf.
+        assert!(!agent.decide(7, 1.0), "NaN Q-values must mean continue");
+        let q = agent.agent.q_values(&agent.state());
+        assert!(q.iter().all(|v| v.is_nan()), "{q:?}");
     }
 
     #[test]

@@ -538,6 +538,15 @@ mod tests {
         }
     }
 
+    /// The subset picker's Q-network, one action per parameter of the
+    /// default space, keeps a shape `tunio-nn`'s fixed-shape kernel runs;
+    /// on any other it would warm up to the same bits, only slower.
+    #[test]
+    fn picker_trains_on_the_fixed_shape_kernel() {
+        let agent = SmartConfigAgent::pretrained(&space(), ClusterSpec::cori_4node(), 1);
+        assert!(agent.picker.has_fixed_kernel());
+    }
+
     #[test]
     fn failed_restore_leaves_the_agent_untouched() {
         let s = space();

@@ -129,6 +129,20 @@ thread_local! {
     };
 }
 
+/// The one list of shapes the fixed-shape kernel runs: `$body` with
+/// `$q` the network viewed as a `$view::<I, O>` when it has one of the
+/// agents' Q-network shapes, `(I, O)` = (4, 2) for the stop agent or
+/// (6, 12) for the subset picker; `None` for any other network.
+macro_rules! on_agent_shape {
+    ($net:expr, |$q:ident: $view:ident| $body:expr) => {
+        match ($net.input_dim(), $net.output_dim()) {
+            (4, 2) => $view::<4, 2>::of($net).and_then(|$q| $body),
+            (6, 12) => $view::<6, 12>::of($net).and_then(|$q| $body),
+            _ => None,
+        }
+    };
+}
+
 /// A dense feed-forward network trained with backprop + MSE loss.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Network {
@@ -254,6 +268,9 @@ impl Network {
     /// The largest output for `x`: `forward(x)` folded with `f64::max`
     /// from negative infinity, without allocating the output vector.
     pub fn max_output(&self, x: &[f64]) -> f64 {
+        if let Some(max) = on_agent_shape!(self, |q: QView| q.max_output(x)) {
+            return max;
+        }
         SCRATCH.with(|s| {
             let acts = &mut s.borrow_mut().acts;
             self.forward_into(x, acts);
@@ -279,7 +296,20 @@ impl Network {
     /// (a property test pins this), but runs the forward pass on `x` once
     /// instead of twice. Returns the MSE loss before the update.
     pub fn td_update(&mut self, x: &[f64], action: usize, value: f64) -> f64 {
-        self.step(x, |out| out[action] = value)
+        match on_agent_shape!(self, |q: QNet| q.td_update(x, action, value)) {
+            Some(loss) => loss,
+            None => self.step(x, |out| out[action] = value),
+        }
+    }
+
+    /// Whether [`Self::td_update`] and [`Self::max_output`] run the
+    /// fixed-shape kernel on this network: a Tanh→Linear `[4, 24, 2]`
+    /// (the stop agent's) or `[6, 24, 12]` (the subset picker's). Any
+    /// other network runs the generic kernel, to the same bits but
+    /// slower, so the agents' tests check that their networks keep a
+    /// shape this accepts.
+    pub fn has_fixed_kernel(&self) -> bool {
+        on_agent_shape!(self, |_q: QView| Some(())).is_some()
     }
 
     /// The training kernel behind [`Self::train_step`] and
@@ -398,16 +428,230 @@ impl Update {
                     p[i] -= lr * g[i];
                 }
             }
-            Update::Adam { lr, bc1, bc2 } => {
-                for i in 0..n {
-                    m[i] = B1 * m[i] + (1.0 - B1) * g[i];
-                    v[i] = B2 * v[i] + (1.0 - B2) * g[i] * g[i];
-                    let m_hat = m[i] / bc1;
-                    let v_hat = v[i] / bc2;
-                    p[i] -= lr * m_hat / (v_hat.sqrt() + EPS);
-                }
+            // Dividing by exactly 1.0 changes no bit, so once a bias
+            // correction rounds to 1.0 (β₁'s from step 356 on, β₂'s from
+            // about step 37,413) its division is left out.
+            Update::Adam { lr, bc1, bc2 } if bc1 != 1.0 => {
+                adam(p, m, v, g, lr, |m| m / bc1, |v| v / bc2)
+            }
+            Update::Adam { lr, bc2, .. } if bc2 != 1.0 => adam(p, m, v, g, lr, |m| m, |v| v / bc2),
+            Update::Adam { lr, .. } => adam(p, m, v, g, lr, |m| m, |v| v),
+        }
+    }
+}
+
+/// Adam's step over equal-length slices, with the bias corrections
+/// `m_hat` and `v_hat` passed in so each regime compiles to its own
+/// loop.
+fn adam(
+    p: &mut [f64],
+    m: &mut [f64],
+    v: &mut [f64],
+    g: &[f64],
+    lr: f64,
+    m_hat: impl Fn(f64) -> f64,
+    v_hat: impl Fn(f64) -> f64,
+) {
+    for i in 0..p.len() {
+        m[i] = B1 * m[i] + (1.0 - B1) * g[i];
+        v[i] = B2 * v[i] + (1.0 - B2) * g[i] * g[i];
+        p[i] -= lr * m_hat(m[i]) / (v_hat(v[i]).sqrt() + EPS);
+    }
+}
+
+/// Hidden width of the agents' Q-networks (`QConfig::hidden` in
+/// `tunio-rl`).
+const HIDDEN: usize = 24;
+
+/// `v` as `R` rows of `N`, if it holds exactly that many values.
+fn rows<const N: usize, const R: usize>(v: &[f64]) -> Option<&[[f64; N]; R]> {
+    match v.as_chunks::<N>() {
+        (rows, []) => rows.try_into().ok(),
+        _ => None,
+    }
+}
+
+fn rows_mut<const N: usize, const R: usize>(v: &mut [f64]) -> Option<&mut [[f64; N]; R]> {
+    match v.as_chunks_mut::<N>() {
+        (rows, []) => rows.try_into().ok(),
+        _ => None,
+    }
+}
+
+/// Whether `l` is an `N`-input, `R`-output layer activated by `act`.
+fn is_layer<const N: usize, const R: usize>(l: &Dense, act: Activation) -> bool {
+    l.act == act && l.inputs == N && l.outputs == R
+}
+
+/// The forward weights of an agent's Q-network: `I` inputs, a Tanh
+/// layer of [`HIDDEN`], a Linear layer of `O`. The passes below run the
+/// generic [`Network::forward_into`]'s operations in its order, on stack
+/// arrays whose lengths the compiler knows.
+struct QView<'a, const I: usize, const O: usize> {
+    w0: &'a [[f64; I]; HIDDEN],
+    b0: &'a [f64; HIDDEN],
+    w1: &'a [[f64; HIDDEN]; O],
+    b1: &'a [f64; O],
+}
+
+impl<'a, const I: usize, const O: usize> QView<'a, I, O> {
+    fn of(net: &'a Network) -> Option<Self> {
+        let [hidden, out] = &net.layers[..] else {
+            return None;
+        };
+        if !is_layer::<I, HIDDEN>(hidden, Activation::Tanh)
+            || !is_layer::<HIDDEN, O>(out, Activation::Linear)
+        {
+            return None;
+        }
+        Some(QView {
+            w0: rows(&hidden.w)?,
+            b0: hidden.b.as_slice().try_into().ok()?,
+            w1: rows(&out.w)?,
+            b1: out.b.as_slice().try_into().ok()?,
+        })
+    }
+
+    /// The hidden layer's pre-activations for `x`: each row's bias, then
+    /// each input's term in turn.
+    fn hidden(&self, x: &[f64; I], pre: &mut [f64; HIDDEN]) {
+        for ((acc, row), b) in pre.iter_mut().zip(self.w0).zip(self.b0) {
+            *acc = *b;
+            for (w, xi) in row.iter().zip(x) {
+                *acc += w * xi;
             }
         }
+    }
+
+    /// The outputs from the hidden activations `h`.
+    fn outputs(&self, h: &[f64; HIDDEN]) -> [f64; O] {
+        std::array::from_fn(|o| {
+            let mut acc = self.b1[o];
+            for (w, hj) in self.w1[o].iter().zip(h) {
+                acc += w * hj;
+            }
+            acc
+        })
+    }
+
+    fn max_output(&self, x: &[f64]) -> Option<f64> {
+        let mut h = [0.0; HIDDEN];
+        self.hidden(x.try_into().ok()?, &mut h);
+        crate::tanh::tanh_slice(&mut h);
+        Some(
+            self.outputs(&h)
+                .into_iter()
+                .fold(f64::NEG_INFINITY, f64::max),
+        )
+    }
+}
+
+/// One layer's parameters and Adam moments at a fixed shape: `R` rows
+/// of `N` weights, and `R` biases.
+struct FixedLayer<'a, const N: usize, const R: usize> {
+    w: &'a mut [[f64; N]; R],
+    b: &'a mut [f64; R],
+    m_w: &'a mut [[f64; N]; R],
+    v_w: &'a mut [[f64; N]; R],
+    m_b: &'a mut [f64; R],
+    v_b: &'a mut [f64; R],
+}
+
+impl<'a, const N: usize, const R: usize> FixedLayer<'a, N, R> {
+    fn of(l: &'a mut Dense, act: Activation) -> Option<Self> {
+        if !is_layer::<N, R>(l, act) {
+            return None;
+        }
+        Some(FixedLayer {
+            w: rows_mut(&mut l.w)?,
+            b: l.b.as_mut_slice().try_into().ok()?,
+            m_w: rows_mut(&mut l.m_w)?,
+            v_w: rows_mut(&mut l.v_w)?,
+            m_b: l.m_b.as_mut_slice().try_into().ok()?,
+            v_b: l.v_b.as_mut_slice().try_into().ok()?,
+        })
+    }
+
+    /// The optimizer step on the weights, then on the biases.
+    fn update(&mut self, update: Update, grad_w: &[[f64; N]; R], grad_b: &[f64; R]) {
+        update.apply(
+            self.w.as_flattened_mut(),
+            self.m_w.as_flattened_mut(),
+            self.v_w.as_flattened_mut(),
+            grad_w.as_flattened(),
+        );
+        update.apply(self.b, self.m_b, self.v_b, grad_b);
+    }
+}
+
+/// An agent's Q-network at its fixed shape (see [`QView`]), open for
+/// training.
+struct QNet<'a, const I: usize, const O: usize> {
+    hidden: FixedLayer<'a, I, HIDDEN>,
+    out: FixedLayer<'a, HIDDEN, O>,
+    optimizer: Optimizer,
+    t: &'a mut u64,
+}
+
+impl<'a, const I: usize, const O: usize> QNet<'a, I, O> {
+    fn of(net: &'a mut Network) -> Option<Self> {
+        let [hidden, out] = &mut net.layers[..] else {
+            return None;
+        };
+        Some(QNet {
+            hidden: FixedLayer::of(hidden, Activation::Tanh)?,
+            out: FixedLayer::of(out, Activation::Linear)?,
+            optimizer: net.optimizer,
+            t: &mut net.t,
+        })
+    }
+
+    fn view(&self) -> QView<'_, I, O> {
+        QView {
+            w0: self.hidden.w,
+            b0: self.hidden.b,
+            w1: self.out.w,
+            b1: self.out.b,
+        }
+    }
+
+    /// [`Network::td_update`], with every operation on every value the
+    /// generic kernel's, in its order. `None`, with nothing changed, if
+    /// `x` has the wrong width.
+    fn td_update(mut self, x: &[f64], action: usize, value: f64) -> Option<f64> {
+        let x: &[f64; I] = x.try_into().ok()?;
+        let view = self.view();
+        let mut h = [0.0; HIDDEN];
+        view.hidden(x, &mut h);
+        crate::tanh::tanh_slice(&mut h);
+        let out = view.outputs(&h);
+        let mut target = out;
+        target[action] = value;
+        let n = O as f64;
+        let loss = out
+            .iter()
+            .zip(&target)
+            .map(|(o, t)| (o - t).powi(2))
+            .sum::<f64>()
+            / n;
+
+        // A linear output layer: `d = delta * 1.0` is `delta`, exactly.
+        let delta: [f64; O] = std::array::from_fn(|o| 2.0 * (out[o] - target[o]) / n);
+        let mut back = [0.0; HIDDEN];
+        for (d, row) in delta.iter().zip(view.w1) {
+            for (dp, w) in back.iter_mut().zip(row) {
+                *dp += d * w;
+            }
+        }
+        let grad_w1: [[f64; HIDDEN]; O] = std::array::from_fn(|o| h.map(|hj| delta[o] * hj));
+        let d_hidden: [f64; HIDDEN] = std::array::from_fn(|j| back[j] * (1.0 - h[j] * h[j]));
+        let grad_w0: [[f64; I]; HIDDEN] = d_hidden.map(|d| x.map(|xi| d * xi));
+
+        *self.t += 1;
+        let update = Update::new(self.optimizer, *self.t);
+        self.out.update(update, &grad_w1, &delta);
+        self.hidden.update(update, &grad_w0, &d_hidden);
+        Some(loss)
     }
 }
 

@@ -393,3 +393,135 @@ fn kernel_matches_the_reference_past_adams_bias_correction() {
         }
     }
 }
+
+/// The reference's `max_output`: `forward` folded with `f64::max`.
+fn reference_max(reference: &reference::Network, x: &[f64]) -> f64 {
+    reference
+        .forward(x)
+        .into_iter()
+        .fold(f64::NEG_INFINITY, f64::max)
+}
+
+/// A Tanh→Linear network of `[inputs, 24, outputs]`: the agents'
+/// Q-network shape, which `td_update` and `max_output` run on the
+/// fixed-shape kernel when `(inputs, outputs)` is (4, 2) or (6, 12).
+fn q_network(inputs: usize, outputs: usize, optimizer: Optimizer, rng: &mut StdRng) -> Network {
+    Network::new(
+        &[inputs, 24, outputs],
+        &[Activation::Tanh, Activation::Linear],
+        optimizer,
+        rng,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Both agent shapes, the stop agent's 4→24→2 and the subset
+    /// picker's 6→24→12, match the reference bit for bit on every entry
+    /// point, including a TD step toward a bootstrapped target, as
+    /// `QAgent::learn_batch` takes it.
+    #[test]
+    fn agent_shapes_match_the_reference_bit_for_bit(
+        seed in any::<u64>(),
+        picker in any::<bool>(),
+        adam in any::<bool>(),
+    ) {
+        let (n_in, n_out) = if picker { (6, 12) } else { (4, 2) };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lr = rng.gen_range(0.001..0.05);
+        let optimizer = if adam { Optimizer::Adam { lr } } else { Optimizer::Sgd { lr } };
+        let mut net = q_network(n_in, n_out, optimizer, &mut rng);
+        prop_assert!(net.has_fixed_kernel());
+        let mut reference = reference::Network::of(&net);
+        let mut draw = |n: usize| -> Vec<f64> { (0..n).map(|_| rng.gen_range(-3.0..3.0)).collect() };
+
+        for _ in 0..30 {
+            let (x, next, r) = (draw(n_in), draw(n_in), draw(3));
+            let action = (r[0].abs() * 10.0) as usize % n_out;
+            let (reward, gamma) = (r[1], r[2].abs() / 3.0);
+
+            let loss = net.td_update(&x, action, reward);
+            prop_assert_eq!(loss.to_bits(), reference.td_update(&x, action, reward).to_bits());
+            prop_assert_eq!(params(&net), reference.bits());
+
+            let max = net.max_output(&next);
+            prop_assert_eq!(max.to_bits(), reference_max(&reference, &next).to_bits());
+            let value = reward + gamma * max;
+            let loss = net.td_update(&x, action, value);
+            prop_assert_eq!(loss.to_bits(), reference.td_update(&x, action, value).to_bits());
+            prop_assert_eq!(params(&net), reference.bits());
+
+            let y = draw(n_out);
+            let loss = net.train_step(&x, &y);
+            prop_assert_eq!(loss.to_bits(), reference.train_step(&x, &y).to_bits());
+            prop_assert_eq!(params(&net), reference.bits());
+        }
+    }
+
+    /// Networks one detail away from an agent shape run the generic
+    /// kernel: the fixed one would activate them with tanh and linear,
+    /// and so miss the reference.
+    #[test]
+    fn near_miss_shapes_stay_on_the_generic_path(seed in any::<u64>(), which in 0usize..3) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (sizes, activations) = [
+            ([4, 24, 2], [Activation::Relu, Activation::Linear]),
+            ([4, 24, 2], [Activation::Tanh, Activation::Sigmoid]),
+            ([6, 24, 12], [Activation::Sigmoid, Activation::Linear]),
+        ][which];
+        let mut net = Network::new(&sizes, &activations, Optimizer::Adam { lr: 0.01 }, &mut rng);
+        prop_assert!(!net.has_fixed_kernel());
+        let mut reference = reference::Network::of(&net);
+        let mut draw = |n: usize| -> Vec<f64> { (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect() };
+        for step in 0..10 {
+            let (x, next) = (draw(sizes[0]), draw(sizes[0]));
+            let action = step % sizes[2];
+            let max = net.max_output(&next);
+            prop_assert_eq!(max.to_bits(), reference_max(&reference, &next).to_bits());
+            let loss = net.td_update(&x, action, 0.3 + 0.9 * max);
+            prop_assert_eq!(loss.to_bits(), reference.td_update(&x, action, 0.3 + 0.9 * max).to_bits());
+            let loss = net.td_update(&next, action, -0.2);
+            prop_assert_eq!(loss.to_bits(), reference.td_update(&next, action, -0.2).to_bits());
+            prop_assert_eq!(params(&net), reference.bits());
+        }
+    }
+}
+
+/// Adam's bias corrections round to exactly 1.0, β₁'s at step 356 and
+/// β₂'s near step 37,413, and from there the kernel leaves their
+/// divisions out. A stop-agent network trained through both matches the
+/// reference bit for bit: loss at every step; weights, biases and both
+/// moments around each threshold.
+#[test]
+fn agent_kernel_matches_the_reference_across_adams_regimes() {
+    let first_one = |beta: f64| (1..).find(|&t| 1.0 - beta.powi(t) == 1.0).unwrap() as u64;
+    let (t1, t2) = (first_one(0.9), first_one(0.999));
+    assert_eq!(t1, 356);
+    assert!((37_000..37_500).contains(&t2), "{t2}");
+    let steps = 37_500;
+
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut net = q_network(4, 2, Optimizer::Adam { lr: 0.01 }, &mut rng);
+    let mut reference = reference::Network::of(&net);
+    let checkpoints = [1, t1 - 1, t1, t1 + 1, t2 - 1, t2, t2 + 1, steps];
+    for t in 1..=steps {
+        let f = t as f64;
+        let x = [(f * 0.37).sin(), (f * 0.11).cos(), (f * 0.05).sin(), 0.5];
+        let next = [(f * 0.23).cos(), (f * 0.07).sin(), 0.25, (f * 0.13).cos()];
+        let (action, reward) = ((t % 2) as usize, (f * 0.017).sin());
+        let value = if t % 3 == 0 {
+            reward
+        } else {
+            let max = net.max_output(&next);
+            assert_eq!(max.to_bits(), reference_max(&reference, &next).to_bits());
+            reward + 0.95 * max
+        };
+        let loss = net.td_update(&x, action, value);
+        let want = reference.td_update(&x, action, value);
+        assert_eq!(loss.to_bits(), want.to_bits(), "step {t}");
+        if checkpoints.contains(&t) {
+            assert_eq!(params(&net), reference.bits(), "step {t}");
+        }
+    }
+}

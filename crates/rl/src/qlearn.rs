@@ -83,6 +83,12 @@ impl QAgent {
         self.net.forward(state)
     }
 
+    /// Whether this agent's Q-network trains on `tunio-nn`'s fixed-shape
+    /// kernel ([`Network::has_fixed_kernel`]).
+    pub fn has_fixed_kernel(&self) -> bool {
+        self.net.has_fixed_kernel()
+    }
+
     /// Export the Q-network weights as JSON (for persisting pre-trained
     /// agents across processes). The format is a `[network, null]` pair;
     /// the second slot is kept so files written when it could hold a
@@ -104,14 +110,11 @@ impl QAgent {
         Ok(())
     }
 
-    /// Greedy action (argmax Q).
+    /// Greedy action (argmax Q). A tie goes to the highest index; a NaN
+    /// Q-value (weights read from outside can overflow) is never picked,
+    /// and if every value is NaN the action is 0.
     pub fn best_action(&self, state: &[f64]) -> usize {
-        let q = self.q_values(state);
-        q.iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        argmax(&self.q_values(state))
     }
 
     /// ε-greedy action selection.
@@ -230,6 +233,18 @@ impl QAgent {
         }
         total
     }
+}
+
+/// The index of the largest non-NaN value, the last of equal ones (as
+/// `max_by` keeps them); 0 if there is none.
+fn argmax(q: &[f64]) -> usize {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, &v) in q.iter().enumerate() {
+        if !v.is_nan() && best.is_none_or(|(_, b)| v >= b) {
+            best = Some((i, v));
+        }
+    }
+    best.map_or(0, |(i, _)| i)
 }
 
 #[cfg(test)]
@@ -365,6 +380,30 @@ mod tests {
         assert_ne!(b.q_values(&[0.0]), before);
         b.import_json(&json).unwrap();
         assert_eq!(b.q_values(&[0.0]), before);
+    }
+
+    #[test]
+    fn argmax_keeps_the_last_of_equal_values_and_skips_nan() {
+        // What `max_by(partial_cmp)` picked on NaN-free values, ties
+        // included.
+        for q in [
+            [0.5, 0.5, 0.1],
+            [0.0, -0.0, -1.0],
+            [1.0, 2.0, 2.0],
+            [f64::NEG_INFINITY; 3],
+        ] {
+            let old = q
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+                .map(|(i, _)| i)
+                .unwrap();
+            assert_eq!(argmax(&q), old, "{q:?}");
+        }
+        assert_eq!(argmax(&[f64::NAN, 0.2, 0.1]), 1);
+        assert_eq!(argmax(&[0.3, f64::NAN, 0.1]), 0);
+        assert_eq!(argmax(&[f64::NAN; 3]), 0);
+        assert_eq!(argmax(&[]), 0);
     }
 
     #[test]
